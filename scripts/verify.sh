@@ -21,6 +21,9 @@ else
     PYTHONPATH=src python -m pytest -x -q "$@"
 fi
 
+echo "== full-stack benchmark self-tests (perfbench) =="
+PYTHONPATH=src python3 -m pytest -q perfbench
+
 echo "== observability smoke (profile_report) =="
 PYTHONPATH=src python scripts/profile_report.py \
     --workload kmeans \

@@ -12,6 +12,9 @@ point:
 * **device memory accounting** — ``mem_used`` never exceeds capacity and
   always covers the bytes of live tracked allocations (the rest is
   reserved static footprint: contexts, handles),
+* **demand-zero truthfulness** — a live allocation flagged demand-zero
+  holds no nonzero byte (a writer that bypassed the flag would let a
+  kernel payload be skipped wrongly),
 * **no leaked reservations** — at end state, no server is still busy or
   reserved (unless mid-recovery), no request is stuck in flight, and no
   physical allocations or charges survive the last release.
@@ -133,6 +136,13 @@ def audit_gpu_server(gpu_server, end_state: bool = False,
             )
         if device.mem_used < 0:
             report.add("memory", f"GPU {device.device_id} mem_used negative")
+        for alloc in sorted(device._allocations, key=lambda a: a.handle):
+            if alloc.demand_zero and alloc.data.any():
+                report.add(
+                    "demand-zero",
+                    f"GPU {device.device_id} allocation #{alloc.handle} is "
+                    "flagged demand-zero but holds nonzero bytes",
+                )
 
     if end_state:
         for server in servers:

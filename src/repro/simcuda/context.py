@@ -21,7 +21,7 @@ import numpy as np
 from repro.sim.core import Environment, Event
 from repro.simcuda.device import SimGPU
 from repro.simcuda.errors import CudaError, cudaError
-from repro.simcuda.kernels import KernelRegistry, LaunchParams
+from repro.simcuda.kernels import KernelDef, KernelRegistry, LaunchParams
 from repro.simcuda.stream import Stream, CudaEvent
 from repro.simcuda.types import Dim3
 from repro.simcuda.va import AddressSpace
@@ -110,11 +110,16 @@ class CudaContext:
 
     # -- memory helpers -------------------------------------------------------------
     def resolve_view(self, ptr: int, nbytes: int) -> np.ndarray:
-        """Writable uint8 view of device memory at ``ptr`` (payload window)."""
+        """Writable uint8 view of device memory at ``ptr`` (payload window).
+
+        The caller may store anything through the view, so the allocation
+        stops being demand-zero.
+        """
         mapping, offset = self.address_space.translate(ptr)
         alloc = mapping.allocation
         if offset >= alloc.payload_bytes:
             return np.zeros(0, dtype=np.uint8)
+        alloc.demand_zero = False
         end = min(offset + nbytes, alloc.payload_bytes)
         return alloc.data[offset:end]
 
@@ -146,11 +151,27 @@ class CudaContext:
             return stream.synchronize()
 
         def start() -> Event:
-            if kernel.payload is not None:
+            if kernel.payload is not None and not self._zero_noop(kernel, args):
                 kernel.payload(self.resolve_view, params)
             return self.device.launch(work, demand=kernel.demand, owner=self)
 
         return stream.enqueue(start, name=name)
+
+    def _zero_noop(self, kernel: KernelDef, args: tuple) -> bool:
+        """True when ``kernel``'s payload provably leaves memory unchanged:
+        it declares ``zero_args`` and every one of them points into a
+        demand-zero allocation.  Any translation failure answers False so
+        the payload runs and raises exactly as it would have."""
+        if not kernel.zero_args:
+            return False
+        translate = self.address_space.translate
+        try:
+            for i in kernel.zero_args:
+                if not translate(int(args[i]))[0].allocation.demand_zero:
+                    return False
+        except (CudaError, IndexError, TypeError, ValueError):
+            return False
+        return True
 
     # -- synchronization --------------------------------------------------------------
     def synchronize(self) -> Event:

@@ -7,6 +7,13 @@ to another GPU.  Buffers are size-capped (see
 :attr:`repro.simcuda.costs.CostModel.payload_cap_bytes`): the declared
 ``size`` drives memory accounting and copy timing, while the backing
 buffer holds ``min(size, cap)`` real bytes.
+
+Like an OS zero page, a fresh allocation is *demand-zero*: its
+:attr:`~PhysicalAllocation.demand_zero` flag promises every real byte is
+zero until something stores a nonzero one.  The flag is conservative —
+``True`` guarantees all-zero bytes, ``False`` promises nothing — which is
+what lets :meth:`repro.simcuda.context.CudaContext.launch_kernel` skip
+payloads that provably cannot change all-zero memory.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ _ids = itertools.count(1)
 class PhysicalAllocation:
     """A physical chunk of device memory on one GPU."""
 
-    __slots__ = ("handle", "device_id", "size", "data", "released")
+    __slots__ = ("handle", "device_id", "size", "data", "released", "demand_zero")
 
     def __init__(self, device_id: int, size: int, payload_cap: int):
         if size <= 0:
@@ -34,6 +41,8 @@ class PhysicalAllocation:
         self.size = int(size)
         self.data = np.zeros(min(self.size, payload_cap), dtype=np.uint8)
         self.released = False
+        #: every real byte is known to be zero (see the module docstring)
+        self.demand_zero = True
 
     @property
     def payload_bytes(self) -> int:
@@ -47,6 +56,8 @@ class PhysicalAllocation:
         if offset >= self.payload_bytes:
             return  # beyond the materialized window: accounted, not stored
         n = min(len(buf), self.payload_bytes - offset)
+        if self.demand_zero and buf[:n].any():
+            self.demand_zero = False
         self.data[offset : offset + n] = buf[:n]
 
     def read(self, offset: int, length: int) -> np.ndarray:
@@ -63,6 +74,9 @@ class PhysicalAllocation:
         other._check_live()
         n = min(self.payload_bytes, other.payload_bytes)
         self.data[:n] = other.data[:n]
+        # bytes past ``n`` keep their old contents (and old state)
+        whole = n == self.payload_bytes
+        self.demand_zero = other.demand_zero and (whole or self.demand_zero)
 
     def release(self) -> None:
         if self.released:

@@ -29,8 +29,43 @@ def payload_size(value: Any) -> int:
     and sum their elements; scalars are fixed-width.  Unknown objects that
     declare ``wire_size`` (e.g. protocol messages) are asked directly.
     """
-    if value is None:
-        return 1
+    # Fast path, keyed on the exact type: the common RPC argument shapes
+    # (tuples of scalars) cost one call instead of one per element.
+    # Subclasses and everything else take the isinstance chain below.
+    kind = type(value)
+    fixed = _FIXED_BYTES.get(kind)
+    if fixed is not None:
+        return fixed
+    if kind is tuple or kind is list:
+        total = _CONTAINER_OVERHEAD
+        for item in value:
+            total += _FIXED_BYTES.get(type(item)) or payload_size(item)
+        return total
+    if kind is str:
+        return _CONTAINER_OVERHEAD + len(value.encode("utf-8"))
+    if kind is dict:
+        return _CONTAINER_OVERHEAD + sum(
+            payload_size(k) + payload_size(v) for k, v in value.items()
+        )
+    if kind is bytes:
+        return _CONTAINER_OVERHEAD + len(value)
+    if kind is np.ndarray:
+        return _CONTAINER_OVERHEAD + int(value.nbytes)
+    return _general_size(value)
+
+
+#: exact type -> fixed wire size (every entry is nonzero, so ``or`` falls
+#: through only on a miss)
+_FIXED_BYTES = {
+    type(None): 1,
+    bool: _SCALAR_BYTES,
+    int: _SCALAR_BYTES,
+    float: _SCALAR_BYTES,
+}
+
+
+def _general_size(value: Any) -> int:
+    """:func:`payload_size` for any value, by ``isinstance``."""
     if isinstance(value, (bool, int, float)):
         return _SCALAR_BYTES
     if isinstance(value, str):

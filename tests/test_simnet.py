@@ -40,6 +40,65 @@ def test_payload_size_nested():
     assert payload_size(inner) == 8 + (8 + 10)
 
 
+def _reference_payload_size(value):
+    """The plain isinstance walk that payload_size's fast path must match."""
+    if value is None:
+        return 1
+    if isinstance(value, (bool, int, float)):
+        return 8
+    if isinstance(value, str):
+        return 8 + len(value.encode("utf-8"))
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return 8 + len(value)
+    if isinstance(value, np.ndarray):
+        return 8 + int(value.nbytes)
+    if isinstance(value, np.generic):
+        return 8
+    if isinstance(value, dict):
+        return 8 + sum(_reference_payload_size(k) + _reference_payload_size(v)
+                       for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return 8 + sum(_reference_payload_size(v) for v in value)
+    wire = getattr(value, "wire_size", None)
+    if wire is not None:
+        return int(wire() if callable(wire) else wire)
+    return 32
+
+
+def test_payload_size_fast_path_matches_the_isinstance_walk():
+    from collections import namedtuple
+
+    class Msg:
+        def wire_size(self):
+            return 123
+
+    class Desc:
+        wire_size = 77
+
+    class MyInt(int):
+        pass
+
+    class MyList(list):
+        pass
+
+    Point = namedtuple("Point", "x y")
+    corpus = [
+        None, True, False, 0, -5, 2**70, 1.5, float("nan"), "", "héllo",
+        b"abc", bytearray(b"xy"), memoryview(b"1234"),
+        np.float64(2.0), np.int32(7), np.bool_(True),
+        np.zeros((3, 4), dtype=np.float32), np.zeros(0, dtype=np.uint8),
+        (), [], {}, set(), frozenset({1, 2}),
+        (1, 2.0, None, True, "s", (3, (4, (5,)))),
+        [np.int32(1), np.float64(2.0), [None, b"z"]],
+        {"a": 1, 2: (3, 4), None: {"nested": [1.0, "x"]}, True: np.zeros(2)},
+        (Msg(), Desc(), object()), Msg(), Desc(), object(),
+        MyInt(3), MyList([1, 2, MyInt(4)]), Point(1, (2, 3)),
+        ((1, 1, 1), (256, 1, 1), (0.5, 10, 20, 30, 100, 16, 16), 0, None),
+    ]
+    for value in corpus:
+        assert payload_size(value) == _reference_payload_size(value), value
+
+
 # --- NIC ---------------------------------------------------------------------
 
 def test_nic_serialization_is_fifo():
