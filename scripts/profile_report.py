@@ -5,8 +5,8 @@ Runs a workload with span tracing enabled, then writes next to each other:
 
 * ``trace.json`` — Chrome trace-event JSON (load in Perfetto or
   ``chrome://tracing``),
-* ``breakdown.json`` — per-invocation phase attribution plus p50/p95/p99
-  aggregates,
+* ``breakdown.json`` — per-invocation phase attribution (the critical
+  path swept at the phase level) plus p50/p95/p99 aggregates,
 * ``critpath.json`` — per-invocation critical-path resource attribution
   (queue / wire / serialization / gpu_compute / object_store / cpu) and
   the top-bottleneck-by-workload table,
@@ -50,33 +50,17 @@ from repro.experiments.runner import (
     run_mixed_scenario,
     run_single_invocation_traced,
 )
-from repro.obs import (
-    aggregate_breakdowns,
-    bottleneck_table,
-    breakdown_table_rows,
-    critpath_report,
-    dump_folded,
-    folded_stacks,
-    invocation_breakdowns,
-)
+from repro.obs import bottleneck_table, critpath_report, dump_folded, folded_stacks
+from repro.obs.critpath import PHASE_LEVEL
 from repro.workloads import ALL_WORKLOAD_NAMES
 
 
-def _validate(rows: list[dict], min_coverage: float) -> list[str]:
-    problems = []
-    for row in rows:
-        label = f"invocation {row['invocation_id']} ({row['workload']})"
-        if row.get("e2e_matches_span") is False:
-            problems.append(
-                f"{label}: root span {row['e2e_s']:.6f}s != measured "
-                f"e2e {row['measured_e2e_s']:.6f}s"
-            )
-        if row["coverage"] < min_coverage:
-            problems.append(
-                f"{label}: phase coverage {row['coverage']:.3f} "
-                f"< required {min_coverage}"
-            )
-    return problems
+def _e2e_mismatches(rows: list[dict]) -> list[str]:
+    return [
+        f"invocation {row['invocation_id']} ({row['workload']}): root span "
+        f"{row['e2e_s']:.6f}s != measured e2e {row['measured_e2e_s']:.6f}s"
+        for row in rows if row.get("e2e_matches_span") is False
+    ]
 
 
 def _sharded_report(bundle_dir: Path, min_coverage: float) -> int:
@@ -180,10 +164,11 @@ def main(argv=None) -> int:
 
     trace_path = out_dir / "trace.json"
     dep.tracer.dump_chrome(trace_path)
-    rows = invocation_breakdowns(dep.tracer, invocations)
-    aggregate = aggregate_breakdowns(rows)
+    phases = critpath_report(dep.tracer, invocations,
+                             min_coverage=args.min_coverage, level=PHASE_LEVEL)
     (out_dir / "breakdown.json").write_text(json.dumps(
-        {"per_invocation": rows, "aggregate": aggregate,
+        {"per_invocation": phases["per_invocation"],
+         "aggregate": phases["aggregate"],
          "tracer": dep.tracer.summary()},
         indent=2, sort_keys=True,
     ))
@@ -221,10 +206,10 @@ def main(argv=None) -> int:
     header = f"{'workload':<22}{'phase':<16}{'mean_s':>9}{'p50_s':>9}{'p95_s':>9}{'p99_s':>9}"
     print(header)
     print("-" * len(header))
-    for row in breakdown_table_rows(aggregate):
-        print(f"{row['workload']:<22}{row['phase']:<16}"
-              f"{row['mean_s']:>9.4f}{row['p50_s']:>9.4f}"
-              f"{row['p95_s']:>9.4f}{row['p99_s']:>9.4f}")
+    for workload, agg in phases["aggregate"]["workloads"].items():
+        for phase, stats in sorted(agg["phases"].items()) + [("e2e", agg["e2e"])]:
+            print(f"{workload:<22}{phase:<16}{stats['mean']:>9.4f}"
+                  f"{stats['p50']:>9.4f}{stats['p95']:>9.4f}{stats['p99']:>9.4f}")
     print()
     header2 = f"{'workload':<22}{'pct':<6}{'bottleneck':<14}{'seconds':>9}{'share':>8}"
     print(header2)
@@ -245,13 +230,14 @@ def main(argv=None) -> int:
               f"out={sampling['out_traces']}, "
               f"{dep.tracer.sampled_out} span(s) sampled out")
 
-    problems = _validate(rows, args.min_coverage) + crit["violations"]
+    problems = (_e2e_mismatches(phases["per_invocation"])
+                + phases["violations"] + crit["violations"])
     if problems:
         print("\ntrace validation FAILED:", file=sys.stderr)
         for p in problems:
             print(f"  - {p}", file=sys.stderr)
         return 1
-    print(f"\ntrace validation OK: {len(rows)} invocation(s), "
+    print(f"\ntrace validation OK: {len(phases['per_invocation'])} invocation(s), "
           f"coverage >= {args.min_coverage}")
     return 0
 

@@ -30,6 +30,14 @@ PYTHONPATH=src python scripts/profile_report.py \
     --out-dir "${PROFILE_OUT_DIR:-/tmp/dgsf-profile}" \
     --min-coverage 0.95
 
+echo "== multi-workload observability smoke (profile_report --mixed) =="
+# The only CI run of the per-workload aggregate over contended runs, whose
+# retroactive phase spans can overlap at float-rounding scale.
+PYTHONPATH=src python scripts/profile_report.py \
+    --mixed --copies 2 \
+    --out-dir "${PROFILE_OUT_DIR:-/tmp/dgsf-profile}-mixed" \
+    --min-coverage 0.95
+
 echo "== scheduler ablation smoke (bench_sched) =="
 # copies must match the committed BENCH_sched.json baseline (copies=4)
 # or bench_compare refuses the comparison

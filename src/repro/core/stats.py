@@ -91,7 +91,7 @@ def summarize_invocations(invocations: list[Invocation]) -> RunStats:
     """
     if not invocations:
         raise ValueError("no invocations to summarize")
-    done = [inv for inv in invocations if inv.t_end >= 0]
+    done = [inv for inv in invocations if inv.status == "completed"]
     if not done:
         raise ValueError("no completed invocations")
     provider_e2e = max(i.t_end for i in done) - min(i.t_submit for i in done)

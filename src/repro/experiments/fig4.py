@@ -27,7 +27,7 @@ from typing import Optional
 from repro.core.config import DgsfConfig, OptimizationFlags
 from repro.core.deployment import DgsfDeployment
 from repro.experiments.runner import build_deployment
-from repro.obs import aggregate_breakdowns, invocation_breakdowns
+from repro.obs.critpath import PHASE_LEVEL, critpath_report
 from repro.workloads import WORKLOADS, register_workloads
 
 __all__ = ["run", "ABLATION_STEPS"]
@@ -56,14 +56,10 @@ def _gpu_time(inv) -> float:
 def _dump_trace(dep, inv, trace_dir: Path, stem: str) -> None:
     """Export the step's Chrome trace + latency breakdown artifacts."""
     dep.tracer.dump_chrome(trace_dir / f"{stem}.trace.json")
-    breakdowns = invocation_breakdowns(dep.tracer, [inv])
-    payload = {
-        "per_invocation": breakdowns,
-        "aggregate": aggregate_breakdowns(breakdowns),
-        "tracer": dep.tracer.summary(),
-    }
+    report = critpath_report(dep.tracer, [inv], level=PHASE_LEVEL)
+    report["tracer"] = dep.tracer.summary()
     (trace_dir / f"{stem}.breakdown.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True)
+        json.dumps(report, indent=2, sort_keys=True)
     )
 
 

@@ -28,7 +28,7 @@ from repro.core.config import DgsfConfig
 from repro.core.deployment import DgsfDeployment
 from repro.faas.workload_gen import burst_arrivals
 from repro.obs.diff import attribution_from_tracer
-from repro.obs.metrics import _percentile
+from repro.obs.metrics import percentile
 from repro.workloads.llm_workloads import register_llm_workloads
 
 __all__ = ["run", "run_llm_scenario", "SCENARIOS"]
@@ -103,9 +103,9 @@ def _row(scenario: str, mode: str, records, dep) -> dict:
         "mode": mode,
         **totals,
         "n_migrations": n_migrations,
-        "p50_token_ms": round(_percentile(token_obs, 50) * 1e3, 2),
-        "p99_token_ms": round(_percentile(token_obs, 99) * 1e3, 2),
-        "p99_ttft_s": round(_percentile(ttft_obs, 99), 3),
+        "p50_token_ms": round(percentile(token_obs, 50) * 1e3, 2),
+        "p99_token_ms": round(percentile(token_obs, 99) * 1e3, 2),
+        "p99_ttft_s": round(percentile(ttft_obs, 99), 3),
         "committed_peak_frac": round(kv_peak_frac, 3),
     }
     if dep.tracer is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.core.config import DgsfConfig
 from repro.core.scheduler import DISCIPLINES
 from repro.experiments.runner import make_plan, run_mixed_scenario
-from repro.obs.metrics import _percentile
+from repro.obs.metrics import percentile
 
 __all__ = ["run"]
 
@@ -60,8 +60,8 @@ def run(seed: int = 0, copies: int = 4, num_gpus: int = 2,
                 "size_class": cls,
                 "n": len(obs),
                 "mean_queue_s": round(sum(obs) / len(obs), 2),
-                "p50_queue_s": round(_percentile(obs, 50), 2),
-                "p99_queue_s": round(_percentile(obs, 99), 2),
+                "p50_queue_s": round(percentile(obs, 50), 2),
+                "p99_queue_s": round(percentile(obs, 99), 2),
                 "max_wait_s": round(max_wait.get(cls, 0.0), 2),
                 "provider_e2e_s": round(result.stats.provider_e2e_s, 2),
             })

@@ -8,12 +8,12 @@
   counters, gauge time-series, and sim-time histograms that the legacy
   stat summaries (``CommStats``/``CacheStats``/``OutcomeSummary``) are
   views over.
-* :mod:`repro.obs.report` — per-invocation latency breakdowns (phase
-  attribution + coverage) and p50/p95/p99 aggregation.
-* :mod:`repro.obs.critpath` — critical-path extraction over span trees:
-  per-resource attribution (queue / wire / serialization / gpu_compute /
-  object_store / cpu), top-bottleneck tables, and folded flamegraph
-  export.
+* :mod:`repro.obs.critpath` — the one latency-attribution engine: a
+  critical-path sweep over span trees at the resource level (queue /
+  wire / serialization / gpu_compute / object_store / cpu) or the phase
+  level (download / cuda_init / gpu_queue / model_load / processing, the
+  paper's breakdown), with coverage, p50/p95/p99 aggregation,
+  top-bottleneck tables and folded flamegraph export.
 * :mod:`repro.obs.slo` — a streaming SLO engine over the registry's
   observation stream: multi-window burn-rate availability alerts, GPU
   imbalance and queue-starvation detectors, structured
@@ -68,13 +68,7 @@ from repro.obs.flight import (
     validate_flight_bundle,
     write_flight_bundle,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.report import (
-    aggregate_breakdowns,
-    breakdown_table_rows,
-    invocation_breakdowns,
-    percentile,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
 from repro.obs.sampling import TraceSampler
 from repro.obs.slo import AlertEvent, SloEngine, default_rules, evaluate_cluster_slo
 from repro.obs.trace import NullSpan, Span, SpanRecord, Tracer, trace_digest
@@ -91,12 +85,10 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "TraceSampler",
-    "aggregate_breakdowns",
     "aggregate_critpaths",
     "attribution_from_bundle",
     "attribution_from_tracer",
     "bottleneck_table",
-    "breakdown_table_rows",
     "cohort_attribution",
     "critical_path",
     "critpath_report",
@@ -107,7 +99,6 @@ __all__ = [
     "flame_diff",
     "folded_stacks",
     "format_diff_row",
-    "invocation_breakdowns",
     "invocation_critpaths",
     "load_attribution",
     "load_bundle_records",

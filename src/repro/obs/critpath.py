@@ -1,4 +1,4 @@
-"""Critical-path extraction and per-resource attribution over span trees.
+"""Critical-path extraction and latency attribution over span trees.
 
 The tracer records every invocation as a tree of spans: a platform root
 (``invocation:*``) with retroactive ``phase`` children, guest ``rpc:*``
@@ -9,23 +9,27 @@ critical path is the *innermost* span covering each instant of the root's
 wall time; this module sweeps the tree to produce:
 
 * :func:`critical_path` — the ordered list of :class:`PathSegment`\\ s
-  (time interval, covering span stack, attributed resource) for one
+  (time interval, covering span stack, attributed bucket) for one
   invocation's trace,
 * :func:`invocation_critpaths` — one attribution row per invocation:
-  seconds per resource (queue / wire / serialization / gpu_compute /
-  object_store / cpu), the dominant resource, and coverage (fraction of
-  root wall time explained by non-root spans — the same >= 95% bar the
-  latency-breakdown report enforces),
-* :func:`aggregate_critpaths` + :func:`bottleneck_table` — "top
-  bottleneck by workload x percentile" rollups,
+  seconds per bucket, the dominant bucket, coverage (fraction of root
+  wall time explained by non-root spans; the acceptance bar is >= 95%),
+  and the RPC call mix under the invocation,
+* :func:`aggregate_critpaths` + :func:`bottleneck_table` — mean/p50/p95/
+  p99 per bucket, overall and per workload, and "top bottleneck by
+  workload x percentile" rollups,
 * :func:`folded_stacks` / :func:`dump_folded` — a folded flamegraph
   export (``stack;frames;joined value``) loadable in speedscope or
   FlameGraph's ``flamegraph.pl``.
 
-Everything here is offline analysis over an existing tracer — it reads
-records and never touches the simulation.
+Everything here is offline analysis over an existing tracer (or records
+already grouped by trace, e.g. a flight bundle's) — it reads records and
+never touches the simulation.
 
-Resource semantics (how a span category maps to the contended resource):
+The sweep runs at one of two :class:`Level`\\ s, passed as an argument:
+
+:data:`RESOURCE_LEVEL` (the default) sweeps every span category and
+buckets each instant by the contended resource:
 
 ====================  =================  =================================
 span                  resource           meaning
@@ -41,17 +45,29 @@ span                  resource           meaning
                                          not inside a nested xfer/srv span
 everything else       ``cpu``            guest-local compute
 ====================  =================  =================================
+
+:data:`PHASE_LEVEL` sweeps only the ``invocation`` root and its
+``phase`` spans and buckets each instant by the covering phase's name
+(``platform_queue``, ``download``, ``cuda_init``, ``gpu_queue``,
+``model_load``, ``processing``, ...) — the paper's latency breakdown.
+Root-only instants belong to no phase.  Because each instant lands in
+exactly one bucket, overlapping phases are never counted twice, so
+phase-level coverage never exceeds 1 and never exceeds resource-level
+coverage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from repro.obs.metrics import _percentile
+from repro.obs.metrics import percentile
 
 __all__ = [
     "RESOURCES",
+    "Level",
+    "RESOURCE_LEVEL",
+    "PHASE_LEVEL",
     "PathSegment",
     "resource_of",
     "critical_path",
@@ -65,20 +81,6 @@ __all__ = [
 
 #: every resource bucket attribution can land in
 RESOURCES = ("queue", "wire", "serialization", "gpu_compute", "object_store", "cpu")
-
-#: span category -> nesting depth.  Higher = more specific: an ``srv:*``
-#: span inside an ``rpc:*`` span inside a ``processing`` phase wins the
-#: instant.  Categories share the root's trace but (by construction of
-#: the wire context) may all parent directly under the root, so category
-#: priority — not parent pointers — encodes the physical nesting.
-_CAT_DEPTH = {
-    "invocation": 0,
-    "phase": 1,
-    "queue": 2,
-    "rpc": 3,
-    "net": 4,
-    "server": 5,
-}
 
 _CAT_RESOURCE = {
     "queue": "queue",
@@ -101,14 +103,56 @@ def resource_of(record) -> str:
     return _CAT_RESOURCE.get(record.cat, "cpu")
 
 
+class Level(NamedTuple):
+    """What a sweep attributes time to."""
+
+    #: row/aggregate key the bucket seconds are reported under
+    key: str
+    #: how coverage violations name the level
+    name: str
+    #: span category -> nesting depth; higher = more specific, unlisted
+    #: categories are ignored.  Categories share the root's trace but (by
+    #: construction of the wire context) may all parent directly under the
+    #: root, so category priority — not parent pointers — encodes the
+    #: physical nesting: an ``srv:*`` span inside an ``rpc:*`` span inside
+    #: a ``processing`` phase wins the instant.
+    depth: dict
+    #: innermost covering span -> the bucket its time lands in (None:
+    #: unattributed)
+    bucket: Callable
+    #: buckets every row reports, zero-filled, in tie-break order
+    buckets: tuple = ()
+
+
+RESOURCE_LEVEL = Level(
+    key="resources",
+    name="critical-path",
+    depth={"invocation": 0, "phase": 1, "queue": 2, "rpc": 3, "net": 4,
+           "server": 5},
+    bucket=resource_of,
+    buckets=RESOURCES,
+)
+
+def _phase_of(record) -> Optional[str]:
+    return record.name if record.cat == "phase" else None
+
+
+PHASE_LEVEL = Level(
+    key="phases",
+    name="phase",
+    depth={"invocation": 0, "phase": 1},
+    bucket=_phase_of,
+)
+
+
 @dataclass
 class PathSegment:
     """One interval of an invocation's critical path."""
 
     t_start: float
     t_end: float
-    #: resource of the innermost covering span
-    resource: str
+    #: the level's bucket for the innermost covering span
+    resource: Optional[str]
     #: covering span names, outermost (the invocation root) first
     stack: tuple
 
@@ -124,23 +168,41 @@ def _find_root(records):
     return None
 
 
-def critical_path(records, root=None) -> list[PathSegment]:
+def _select(traces, invocations):
+    """``(trace_id, records, invocation-or-None)`` in report order.
+
+    ``traces`` is a :class:`~repro.obs.trace.Tracer` or an already
+    grouped ``{trace_id: records}`` mapping (see
+    :func:`~repro.obs.trace.group_by_trace`).  ``invocations`` restricts
+    and orders the result via each one's ``trace_id``; untraced ones are
+    skipped.  Without it every trace is returned, by id.
+    """
+    by_trace = traces if isinstance(traces, dict) else traces.by_trace()
+    if invocations is None:
+        return [(tid, by_trace[tid], None) for tid in sorted(by_trace)]
+    return [(inv.trace_id, by_trace[inv.trace_id], inv) for inv in invocations
+            if getattr(inv, "trace_id", None) in by_trace]
+
+
+def critical_path(records, root=None,
+                  level: Level = RESOURCE_LEVEL) -> list[PathSegment]:
     """Sweep one trace's spans into ordered critical-path segments.
 
     ``records`` is one trace's record list (e.g. a value of
     ``tracer.by_trace()``); ``root`` defaults to its ``invocation`` span.
     Spans are clipped to the root's extent (post-completion teardown RPC
     belongs to the platform, not the function), then a boundary sweep
-    assigns every instant to the innermost active span by category depth
-    (ties: latest start, then span id — the most recently opened wins).
-    Adjacent segments with the same stack are merged.
+    assigns every instant to the innermost active span by the level's
+    category depth (ties: latest start, then span id — the most recently
+    opened wins).  Adjacent segments with the same stack are merged.
     """
     root = root or _find_root(records)
     if root is None or root.t_end <= root.t_start:
         return []
+    cat_depth = level.depth
     spans = []
     for r in records:
-        if r.ph != "X" or r.cat not in _CAT_DEPTH or r is root:
+        if r.ph != "X" or r.cat not in cat_depth or r is root:
             continue
         lo = max(r.t_start, root.t_start)
         hi = min(r.t_end, root.t_end)
@@ -160,11 +222,11 @@ def critical_path(records, root=None) -> list[PathSegment]:
     segments: list[PathSegment] = []
     for i, t in enumerate(boundaries[:-1]):
         for r in ends_at.get(t, ()):
-            depth_set = active.get(_CAT_DEPTH[r.cat])
+            depth_set = active.get(cat_depth[r.cat])
             if depth_set is not None:
                 depth_set.pop(r.span_id, None)
         for r in starts_at.get(t, ()):
-            active.setdefault(_CAT_DEPTH[r.cat], {})[r.span_id] = r
+            active.setdefault(cat_depth[r.cat], {})[r.span_id] = r
         t_next = boundaries[i + 1]
         stack = [root.name]
         innermost = root
@@ -175,7 +237,7 @@ def critical_path(records, root=None) -> list[PathSegment]:
             best = max(layer.values(), key=lambda r: (r.t_start, r.span_id))
             stack.append(best.name)
             innermost = best
-        seg = PathSegment(t, t_next, resource_of(innermost), tuple(stack))
+        seg = PathSegment(t, t_next, level.bucket(innermost), tuple(stack))
         if segments and segments[-1].stack == seg.stack \
                 and segments[-1].t_end == seg.t_start:
             segments[-1] = PathSegment(
@@ -186,94 +248,124 @@ def critical_path(records, root=None) -> list[PathSegment]:
     return segments
 
 
-def invocation_critpaths(tracer, invocations=None) -> list[dict]:
-    """One resource-attribution row per root ``invocation`` span.
+def invocation_critpaths(traces, invocations=None,
+                         level: Level = RESOURCE_LEVEL) -> list[dict]:
+    """One attribution row per root ``invocation`` span.
 
-    ``invocations`` (optional) restricts/orders the rows via ``trace_id``,
-    exactly like :func:`repro.obs.report.invocation_breakdowns`.
+    ``traces`` is a tracer or a ``{trace_id: records}`` mapping;
+    ``invocations`` (optional) restricts/orders the rows to the given
+    :class:`~repro.faas.platform.Invocation` records via their
+    ``trace_id`` and cross-checks each root span against the
+    invocation's measured ``e2e_s``.  Bucket seconds land under
+    ``row[level.key]``.
     """
-    by_trace = tracer.by_trace()
-    if invocations is not None:
-        trace_ids = [inv.trace_id for inv in invocations
-                     if getattr(inv, "trace_id", None) in by_trace]
-    else:
-        trace_ids = sorted(by_trace)
     rows = []
-    for trace_id in trace_ids:
-        records = by_trace[trace_id]
+    for trace_id, records, inv in _select(traces, invocations):
         root = _find_root(records)
         if root is None:
             continue
-        segments = critical_path(records, root)
-        resources = {name: 0.0 for name in RESOURCES}
+        segments = critical_path(records, root, level)
+        buckets = dict.fromkeys(level.buckets, 0.0)
         covered = 0.0
         for seg in segments:
-            resources[seg.resource] += seg.duration_s
+            if seg.resource is not None:
+                buckets[seg.resource] = buckets.get(seg.resource, 0.0) \
+                    + seg.duration_s
             if len(seg.stack) > 1:
                 covered += seg.duration_s
+        rpc_mix: dict[str, int] = {}
+        rpc_time = 0.0
+        for r in records:
+            if r.ph == "X" and r.cat == "rpc":
+                rpc_mix[r.name] = rpc_mix.get(r.name, 0) + 1
+                rpc_time += r.duration_s
         duration = root.duration_s
-        attributed = sum(resources.values())
-        dominant = max(RESOURCES, key=lambda name: resources[name])
-        rows.append({
+        dominant = max(buckets, key=buckets.get, default=None)
+        row = {
             "trace_id": trace_id,
             "invocation_id": root.args.get("invocation_id"),
             "workload": root.args.get("workload", root.name),
             "status": root.args.get("status", "unknown"),
             "e2e_s": duration,
-            "resources": resources,
-            "attributed_s": attributed,
-            # non-root spans must explain >= 95% of wall time (the same
-            # bar the phase-breakdown report enforces)
+            level.key: buckets,
+            "attributed_s": sum(buckets.values()),
             "coverage": covered / duration if duration > 0 else 1.0,
             "dominant": dominant,
-            "dominant_share": resources[dominant] / duration if duration > 0 else 0.0,
+            "dominant_share": (buckets.get(dominant, 0.0) / duration
+                               if duration > 0 else 0.0),
             "segments": len(segments),
-        })
+            "rpc_calls": sum(rpc_mix.values()),
+            "rpc_time_s": rpc_time,
+            "rpc_mix": rpc_mix,
+        }
+        if inv is not None:
+            row["measured_e2e_s"] = inv.e2e_s
+            row["e2e_matches_span"] = abs(inv.e2e_s - duration) < 1e-9
+        rows.append(row)
     return rows
 
 
-def _resource_stats(rows: list[dict]) -> dict:
-    per_resource = {}
-    e2es = [row["e2e_s"] for row in rows]
-    for name in RESOURCES:
-        seconds = [row["resources"][name] for row in rows]
-        shares = [
-            row["resources"][name] / row["e2e_s"] if row["e2e_s"] > 0 else 0.0
-            for row in rows
-        ]
-        per_resource[name] = {
-            "mean_s": sum(seconds) / len(seconds),
-            "p50_s": _percentile(seconds, 50),
-            "p95_s": _percentile(seconds, 95),
-            "share_mean": sum(shares) / len(shares),
-            "share_p50": _percentile(shares, 50),
-            "share_p95": _percentile(shares, 95),
-        }
-    top = {
-        "mean": max(RESOURCES, key=lambda n: per_resource[n]["mean_s"]),
-        "p50": max(RESOURCES, key=lambda n: per_resource[n]["p50_s"]),
-        "p95": max(RESOURCES, key=lambda n: per_resource[n]["p95_s"]),
+def _series(values: list[float]) -> dict:
+    return {
+        "mean": sum(values) / len(values),
+        "p50": percentile(values, 50),
+        "p95": percentile(values, 95),
+        "p99": percentile(values, 99),
     }
+
+
+def _group_stats(rows: list[dict], key: str) -> dict:
+    seconds: dict[str, list[float]] = {}
+    shares: dict[str, list[float]] = {}
+    rpc_mix: dict[str, int] = {}
+    for row in rows:
+        e2e = row["e2e_s"]
+        for name, value in row[key].items():
+            seconds.setdefault(name, []).append(value)
+            shares.setdefault(name, []).append(value / e2e if e2e > 0 else 0.0)
+        for name, n in row["rpc_mix"].items():
+            rpc_mix[name] = rpc_mix.get(name, 0) + n
+    per_bucket = {}
+    for name, values in seconds.items():
+        stats = _series(values)
+        # ``mean_s``/``p50_s``/... (and ``e2e_p50_s``/``e2e_p95_s`` below)
+        # repeat ``mean``/``p50``/... under the names critpath.json has
+        # always carried
+        per_bucket[name] = {
+            **stats,
+            **{f"{stat}_s": v for stat, v in stats.items()},
+            **{f"share_{stat}": v for stat, v in _series(shares[name]).items()},
+        }
+    e2e = _series([row["e2e_s"] for row in rows])
+    coverage = [row["coverage"] for row in rows]
     return {
         "count": len(rows),
-        "e2e_p50_s": _percentile(e2es, 50),
-        "e2e_p95_s": _percentile(e2es, 95),
-        "coverage_min": min(row["coverage"] for row in rows),
-        "resources": per_resource,
-        "top_bottleneck": top,
+        "e2e": e2e,
+        "e2e_p50_s": e2e["p50"],
+        "e2e_p95_s": e2e["p95"],
+        "coverage_min": min(coverage),
+        "coverage_mean": sum(coverage) / len(coverage),
+        key: per_bucket,
+        "top_bottleneck": {
+            stat: max(per_bucket, key=lambda n: per_bucket[n][stat],
+                      default=None)
+            for stat in ("mean", "p50", "p95")
+        },
+        "rpc_mix": dict(sorted(rpc_mix.items())),
     }
 
 
-def aggregate_critpaths(rows: list[dict]) -> dict:
+def aggregate_critpaths(rows: list[dict],
+                        level: Level = RESOURCE_LEVEL) -> dict:
     """Aggregate attribution rows, overall and per workload."""
     if not rows:
         return {"count": 0, "workloads": {}}
-    out = _resource_stats(rows)
+    out = _group_stats(rows, level.key)
     by_workload: dict[str, list[dict]] = {}
     for row in rows:
         by_workload.setdefault(row["workload"], []).append(row)
     out["workloads"] = {
-        name: _resource_stats(group)
+        name: _group_stats(group, level.key)
         for name, group in sorted(by_workload.items())
     }
     return out
@@ -296,21 +388,15 @@ def bottleneck_table(aggregate: dict) -> list[dict]:
     return rows
 
 
-def folded_stacks(tracer, invocations=None) -> dict[str, float]:
+def folded_stacks(traces, invocations=None) -> dict[str, float]:
     """Aggregate critical-path segments into folded stacks -> seconds.
 
-    Stack frames are joined with ``;`` outermost-first, so the root frame
+    ``traces`` and ``invocations`` select traces as in
+    :func:`invocation_critpaths`.  Stack frames are joined with ``;`` outermost-first, so the root frame
     (``invocation:<workload>``) groups the flamegraph by workload.
     """
-    by_trace = tracer.by_trace()
-    if invocations is not None:
-        trace_ids = [inv.trace_id for inv in invocations
-                     if getattr(inv, "trace_id", None) in by_trace]
-    else:
-        trace_ids = sorted(by_trace)
     stacks: dict[str, float] = {}
-    for trace_id in trace_ids:
-        records = by_trace[trace_id]
+    for _, records, _ in _select(traces, invocations):
         for seg in critical_path(records):
             key = ";".join(seg.stack)
             stacks[key] = stacks.get(key, 0.0) + seg.duration_s
@@ -334,22 +420,23 @@ def dump_folded(stacks: dict[str, float], path) -> int:
     return len(lines)
 
 
-def critpath_report(tracer, invocations=None,
-                    min_coverage: Optional[float] = None) -> dict:
+def critpath_report(traces, invocations=None,
+                    min_coverage: Optional[float] = None,
+                    level: Level = RESOURCE_LEVEL) -> dict:
     """Per-invocation attribution + aggregate, with optional validation.
 
     With ``min_coverage`` set, rows below the bar are listed under
     ``"violations"`` (empty = pass) so CLI callers can gate on it.
     """
-    rows = invocation_critpaths(tracer, invocations)
+    rows = invocation_critpaths(traces, invocations, level)
     report = {
         "per_invocation": rows,
-        "aggregate": aggregate_critpaths(rows),
+        "aggregate": aggregate_critpaths(rows, level),
     }
     if min_coverage is not None:
         report["violations"] = [
             f"invocation {row['invocation_id']} ({row['workload']}): "
-            f"critical-path coverage {row['coverage']:.3f} < {min_coverage}"
+            f"{level.name} coverage {row['coverage']:.3f} < {min_coverage}"
             for row in rows if row["coverage"] < min_coverage
         ]
     return report

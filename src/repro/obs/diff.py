@@ -48,7 +48,8 @@ from repro.obs.critpath import (
     folded_stacks,
     invocation_critpaths,
 )
-from repro.obs.metrics import _percentile
+from repro.obs.metrics import percentile
+from repro.obs.trace import group_by_trace
 
 __all__ = [
     "PERCENTILES",
@@ -69,25 +70,6 @@ PERCENTILES = (50, 95, 99)
 #: minimum share of the latency delta a category must explain to be
 #: named in the formatted line (smaller contributors fold into the rest)
 _SHARE_FLOOR = 0.05
-
-
-class _RecordsView:
-    """Duck-typed stand-in for a Tracer over already-frozen records.
-
-    :func:`~repro.obs.critpath.invocation_critpaths` and
-    :func:`~repro.obs.critpath.folded_stacks` only need ``by_trace()``,
-    so a bundle's ``records.json`` can feed them without a live tracer.
-    """
-
-    def __init__(self, records):
-        self.records = records
-
-    def by_trace(self):
-        out = {}
-        for r in self.records:
-            if r.trace_id is not None:
-                out.setdefault(r.trace_id, []).append(r)
-        return out
 
 
 # -- layer 1: cohort attribution ---------------------------------------------
@@ -112,7 +94,7 @@ def cohort_attribution(rows, percentiles=PERCENTILES) -> dict:
         e2es = [row["e2e_s"] for row in group]
         entry: dict = {"count": len(group)}
         for pct in percentiles:
-            cutoff = _percentile(e2es, pct)
+            cutoff = percentile(e2es, pct)
             cohort = [row for row in group if row["e2e_s"] >= cutoff]
             if not cohort:  # degenerate (all-zero) group
                 cohort = group
@@ -144,8 +126,8 @@ def attribution_from_bundle(bundle_dir, percentiles=PERCENTILES) -> dict:
     from repro.obs.flight import load_bundle_records
 
     records = load_bundle_records(os.path.join(bundle_dir, "records.json"))
-    view = _RecordsView(records)
-    return cohort_attribution(invocation_critpaths(view), percentiles)
+    return cohort_attribution(invocation_critpaths(group_by_trace(records)),
+                              percentiles)
 
 
 def load_attribution(path) -> dict:
@@ -293,7 +275,7 @@ def _bundle_stacks(path) -> Optional[dict]:
         return None
     from repro.obs.flight import load_bundle_records
 
-    return folded_stacks(_RecordsView(load_bundle_records(records_path)))
+    return folded_stacks(group_by_trace(load_bundle_records(records_path)))
 
 
 def main(argv=None) -> int:

@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.metrics import MetricsRegistry, _percentile
+from repro.obs.metrics import MetricsRegistry, percentile
 
 __all__ = [
     "AlertEvent",
@@ -231,7 +231,7 @@ class LatencyRule(Rule):
         self.window.prune(now)
         if self.window.count < self.min_count:
             return None
-        p95 = _percentile(self.window.values(), 95)
+        p95 = percentile(self.window.values(), 95)
         if p95 <= self.threshold_s:
             return None
         details = {

@@ -48,7 +48,9 @@ from typing import Optional
 
 from repro.obs import sampling as _sampling
 
-__all__ = ["NullSpan", "Span", "SpanRecord", "Tracer", "trace_digest"]
+__all__ = [
+    "NullSpan", "Span", "SpanRecord", "Tracer", "group_by_trace", "trace_digest",
+]
 
 _span_ids = itertools.count(1)
 _trace_ids = itertools.count(1)
@@ -448,11 +450,7 @@ class Tracer:
 
     def by_trace(self) -> dict[int, list[SpanRecord]]:
         self.finalize_sampling()
-        out: dict[int, list[SpanRecord]] = {}
-        for r in self.records:
-            if r.trace_id is not None:
-                out.setdefault(r.trace_id, []).append(r)
-        return out
+        return group_by_trace(self.records)
 
     @property
     def open_spans(self) -> int:
@@ -716,6 +714,16 @@ class Tracer:
                 self.sampled_out += 1
         self._foreign_stash.clear()
         return added
+
+
+def group_by_trace(records) -> dict[int, list[SpanRecord]]:
+    """Group span records by trace id, in record order; untraced records
+    (``trace_id`` None) are left out."""
+    out: dict[int, list[SpanRecord]] = {}
+    for r in records:
+        if r.trace_id is not None:
+            out.setdefault(r.trace_id, []).append(r)
+    return out
 
 
 def trace_digest(records) -> int:

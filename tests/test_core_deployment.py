@@ -6,7 +6,7 @@ import pytest
 from repro.core import DgsfConfig
 from repro.core.deployment import DgsfDeployment, NativeDeployment
 from repro.core.stats import summarize_invocations
-from repro.faas import FunctionSpec
+from repro.faas import FunctionSpec, Invocation
 from repro.simcuda.types import GB, MB
 
 
@@ -139,6 +139,23 @@ def test_summarize_invocations():
 def test_summarize_empty_rejected():
     with pytest.raises(ValueError):
         summarize_invocations([])
+
+
+def test_summarize_counts_only_completed_invocations():
+    """The platform stamps ``t_end`` on failed and timed-out invocations
+    too; only completed ones may enter the latency averages."""
+    ok = Invocation(0, "f", t_submit=0.0, t_start=0.0, t_end=10.0,
+                    status="completed")
+    failed = Invocation(1, "f", t_submit=0.0, t_start=0.0, t_end=0.5,
+                        status="failed")
+    timed_out = Invocation(2, "f", t_submit=0.0, t_start=0.0, t_end=3.0,
+                           status="timeout")
+    stats = summarize_invocations([ok, failed, timed_out])
+    assert stats.per_workload["f"].count == 1
+    assert stats.per_workload["f"].mean_e2e_s == 10.0
+    assert stats.function_e2e_sum_s == 10.0
+    with pytest.raises(ValueError, match="no completed invocations"):
+        summarize_invocations([failed, timed_out])
 
 
 def test_setup_twice_rejected():

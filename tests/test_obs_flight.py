@@ -13,12 +13,16 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.faas.topology import pool_collect, pool_scenario
 from repro.obs import (
+    attribution_from_bundle,
+    attribution_from_tracer,
+    folded_stacks,
     load_bundle_records,
     load_chrome_records,
     trace_digest,
     validate_flight_bundle,
     write_flight_bundle,
 )
+from repro.obs.trace import group_by_trace
 from repro.sim.shard import run_sharded
 
 SYNC_ARGS = (60, 2, 0.05, 0.18, 0.5, 4)
@@ -67,6 +71,17 @@ def test_records_json_round_trips_the_exact_digest(bundle, traced_result):
     records = load_bundle_records(out_dir / "records.json")
     assert trace_digest(records) == manifest["trace_digest"]
     assert trace_digest(records) == traced_result.tracer.digest()
+
+
+def test_bundle_records_attribute_like_the_live_tracer(bundle, traced_result):
+    """Records grouped straight from ``records.json`` feed the critical-path
+    entry points exactly as the tracer they were frozen from does."""
+    out_dir, _ = bundle
+    tracer = traced_result.tracer
+    attribution = attribution_from_bundle(out_dir)
+    assert attribution and attribution == attribution_from_tracer(tracer)
+    records = load_bundle_records(out_dir / "records.json")
+    assert folded_stacks(group_by_trace(records)) == folded_stacks(tracer)
 
 
 def test_chrome_trace_reverses_track_name_mapping(bundle):

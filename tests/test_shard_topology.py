@@ -32,10 +32,22 @@ def run_dgsf(num_shards, seed=0, until=HORIZON_S, lookahead=None, **kw):
     )
 
 
-def test_dgsf_outcome_invariant_across_shard_layouts():
+# full-stack runs are the slow part of this module; tests that only read
+# a run's result share one instead of re-running it
+@pytest.fixture(scope="module")
+def split():
+    return run_dgsf(2)
+
+
+@pytest.fixture(scope="module")
+def traced_split():
+    return run_dgsf(2, scenario_args=(2, 2, 2.0, None, True),
+                    lookahead=DEFAULT_LOOKAHEAD_S, tracing=True)
+
+
+def test_dgsf_outcome_invariant_across_shard_layouts(split):
     """Co-resident (1 shard) vs one-deployment-per-shard (2 shards)."""
     solo = run_dgsf(1)
-    split = run_dgsf(2)
     assert solo.merged == split.merged
     assert solo.merged_digest == split.merged_digest
     for row in solo.merged.values():
@@ -43,12 +55,12 @@ def test_dgsf_outcome_invariant_across_shard_layouts():
         assert row["outcomes"]["all_terminal"]
 
 
-def test_dgsf_merged_outcome_is_seed_stable():
+def test_dgsf_merged_outcome_is_seed_stable(split):
     # Note: the outcome *summary* is insensitive to the seed itself at this
     # scale (kernel durations are deterministic and DGSF shares GPUs, so
     # e2e doesn't depend on arrival spacing) — the property under test is
     # that repeated runs of one seed are digest-identical.
-    assert run_dgsf(2).merged_digest == run_dgsf(2).merged_digest
+    assert run_dgsf(2).merged_digest == split.merged_digest
 
 
 def test_dgsf_collect_raises_when_horizon_truncates_plan():
@@ -68,11 +80,10 @@ def test_pool_collect_raises_on_incomplete_invocations():
         )
 
 
-def test_traced_dgsf_stitches_cross_shard_report():
+def test_traced_dgsf_stitches_cross_shard_report(traced_split):
     """The acceptance bar: a control-plane envelope carrying trace context
     joins spans from both shards into one trace tree in the merged trace."""
-    r = run_dgsf(2, scenario_args=(2, 2, 2.0, None, True),
-                 lookahead=DEFAULT_LOOKAHEAD_S, tracing=True)
+    r = traced_split
     assert r.tracer is not None and r.trace_digest != 0
     assert r.n_envelopes >= 1
     assert isinstance(r.alerts, list)
@@ -91,10 +102,9 @@ def test_traced_dgsf_stitches_cross_shard_report():
     assert "envelope:recv" in names       # delivered on the far shard
 
 
-def test_tracing_leaves_dgsf_outcome_unchanged():
+def test_tracing_leaves_dgsf_outcome_unchanged(traced_split):
     plain = run_dgsf(2, lookahead=DEFAULT_LOOKAHEAD_S)
-    traced = run_dgsf(2, scenario_args=(2, 2, 2.0, None, True),
-                      lookahead=DEFAULT_LOOKAHEAD_S, tracing=True)
+    traced = traced_split
     assert traced.merged == plain.merged
     assert traced.merged_digest == plain.merged_digest
     assert traced.n_epochs == plain.n_epochs
