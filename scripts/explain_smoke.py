@@ -5,8 +5,8 @@ Takes a freshly generated ``BENCH_llm.json``, injects a synthetic
 slowdown into a *copy* of it — one scenario's p99 token latency bumped
 past the comparison band, with the matching seconds added to one
 resource category of its embedded attribution map — then runs
-``bench_compare.py --explain`` against the unperturbed file as baseline
-and asserts that:
+``bench.py compare`` against the unperturbed file as baseline (the LLM
+bench explains its regressions) and asserts that:
 
 1. the compare fails (exit 1 — the band caught the regression),
 2. the attribution diff names the *injected* category as the top
@@ -36,7 +36,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: the scenario/mode row the slowdown is injected into
 TARGET = ("steady", "continuous")
-#: the category the injected seconds land in — what --explain must name
+#: the category the injected seconds land in — what the attribution must name
 CATEGORY = "queue"
 #: injected slowdown (well outside the default ±(0.05 + 2%) band)
 SLOWDOWN_S = 0.040
@@ -81,16 +81,15 @@ def main(argv=None) -> int:
     diff_path = args.out / "attribution_diff.json"
 
     proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "bench_compare.py"),
-         str(args.fresh), str(perturbed_path),
-         "--explain", "--explain-out", str(diff_path)],
+        [sys.executable, str(REPO_ROOT / "scripts" / "bench.py"), "compare",
+         str(args.fresh), str(perturbed_path), "--explain-out", str(diff_path)],
         capture_output=True, text=True,
     )
     (args.out / "compare.log").write_text(proc.stdout + proc.stderr)
     sys.stderr.write(proc.stderr)
 
     if proc.returncode != 1:
-        print(f"FAIL: bench_compare exited {proc.returncode}, expected 1 "
+        print(f"FAIL: bench.py compare exited {proc.returncode}, expected 1 "
               f"(injected slowdown not caught)", file=sys.stderr)
         return 1
     try:
@@ -131,7 +130,7 @@ def main(argv=None) -> int:
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
         return 1
-    print(f"OK: --explain attributed the injected {target_label} p99 "
+    print(f"OK: compare attributed the injected {target_label} p99 "
           f"slowdown to {CATEGORY!r} (artifacts in {args.out})")
     return 0
 

@@ -11,9 +11,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
+from repro.errors import SimulationError
 from repro.experiments import (
     table2, table3, table4, table5, fig3, fig4, fig5, fig6, fig7, fig8,
     sched_ablation, critpath_ablation, shard_ablation, llm_ablation,
@@ -89,9 +91,13 @@ def run_one(name: str, seed: int, copies: int, trace_dir: str = None) -> None:
         # copies scales the per-run invocation budget (default 10 -> 1M);
         # the full million-invocation ladder is the point of the ablation,
         # but --copies 1 gives a 100k-invocation quick look.
+        rows = shard_ablation.run(seed=seed, invocations=copies * 100_000)
+        problems = shard_ablation.invariance_problems(rows)
+        if problems:
+            raise SimulationError("; ".join(problems))
         _print_rows(
-            "Shard ablation — events/sec vs shard count",
-            shard_ablation.run(seed=seed, invocations=copies * 100_000),
+            f"Shard ablation — events/sec vs shard count "
+            f"({os.cpu_count() or 1} cores)", rows,
         )
     else:
         raise SystemExit(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")

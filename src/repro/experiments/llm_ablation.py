@@ -111,7 +111,7 @@ def _row(scenario: str, mode: str, records, dep) -> dict:
     if dep.tracer is not None:
         # tail-cohort critical-path attribution (repro.obs.diff): one
         # deployment per (scenario, mode), so the single workload's
-        # entry is the row's.  bench_compare --explain diffs these maps
+        # entry is the row's.  scripts/bench.py compare diffs these maps
         # to name the category behind a banded-metric failure.
         attr = attribution_from_tracer(dep.tracer)
         if attr:

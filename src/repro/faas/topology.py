@@ -5,9 +5,10 @@ spawns workers, steps epochs, and merges rows.  This module supplies the
 scenarios, each a module-level function so ``multiprocessing`` spawn can
 pickle it by reference:
 
-* :func:`pool_scenario` — the independent-GPU-pool queueing model used by
-  ``scripts/bench_shard.py``: per group, a pre-drawn Poisson arrival
-  stream feeds an M/M/c GPU pool (a few kernel events per invocation), so
+* :func:`pool_scenario` — the independent-GPU-pool queueing model of
+  :mod:`repro.experiments.shard_ablation` (``BENCH_shard.json``): per
+  group, a pre-drawn Poisson arrival stream feeds an M/M/c GPU pool (a
+  few kernel events per invocation), so
   a million-invocation deployment is dominated by event-queue throughput
   — exactly what sharding is meant to scale.  An optional heartbeat
   stream to group 0 (the manager's home) exercises the cross-shard

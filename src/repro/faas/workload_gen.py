@@ -42,7 +42,7 @@ def schedule_arrivals(env, plan) -> list:
 
     Batching goes through :meth:`Environment.timeout_batch`, so a
     million-entry plan costs one Python call instead of a million — see
-    ``scripts/bench_kernel.py``.  Timeouts are created in plan order, so
+    :mod:`repro.experiments.kernel_ablation`.  Timeouts are created in plan order, so
     eid assignment (and therefore same-time tie-breaking) is
     deterministic for a given plan.
     """

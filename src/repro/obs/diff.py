@@ -27,8 +27,8 @@ Three layers:
   ``flamegraph.pl --negate`` / speedscope's diff view.
 
 ``python -m repro.obs.diff BASE FRESH [--out DIR]`` runs the whole
-pipeline from the CLI; ``scripts/bench_compare.py --explain`` calls the
-same functions when a banded metric fails in CI.
+pipeline from the CLI; ``scripts/bench.py compare`` calls the same
+functions when a banded metric of a bench with attribution maps fails.
 
 Everything here is offline analysis over frozen artifacts — it never
 touches a live simulation.

@@ -33,7 +33,7 @@ many timeouts in one call for arrival processes.
 
 The pre-wheel single-heap kernel survives as
 :class:`repro.sim.legacy.LegacyHeapEnvironment` — the order-parity oracle
-and the baseline for ``scripts/bench_kernel.py``.
+and the baseline of :mod:`repro.experiments.kernel_ablation`.
 """
 
 from __future__ import annotations
@@ -465,7 +465,7 @@ class Environment:
         #: free list of processed Timeout objects (see Environment.timeout)
         self._timeout_pool: list = []
         #: when set to a list, step() appends (time, priority, eid) for every
-        #: processed event — the order-digest hook used by bench_kernel and
+        #: processed event — the order-digest hook used by the kernel bench and
         #: the wheel/heap parity tests
         self._pop_trace: Optional[list] = None
 
@@ -502,7 +502,7 @@ class Environment:
         # instance from the pool when one is available, and build the queue
         # entry inline instead of going through Timeout.__init__ ->
         # Event.__init__ -> _schedule — the per-call frame overhead is
-        # measurable at 1M+ events (see scripts/bench_kernel.py).
+        # measurable at 1M+ events (see repro.experiments.kernel_ablation).
         pool = self._timeout_pool
         if pool:
             t = pool.pop()

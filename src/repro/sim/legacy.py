@@ -7,8 +7,8 @@ It exists for two reasons:
 
 * **order-parity oracle** — the wheel must pop events in exactly the same
   ``(time, priority, eid)`` order as the heap; the parity tests and the
-  order-digest section of ``scripts/bench_kernel.py`` run identical
-  scenarios on both kernels and compare the pop sequences,
+  order-digest section of :mod:`repro.experiments.kernel_ablation` run
+  identical scenarios on both kernels and compare the pop sequences,
 * **benchmark baseline** — ``BENCH_kernel.json`` records the wheel's
   events/sec speedup over this kernel, and the regression gate keeps the
   committed ratio honest.

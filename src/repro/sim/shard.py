@@ -31,7 +31,7 @@ With no cross-group channels the lookahead is infinite (the minimum over
 an empty link set), the run degenerates to one barrier, and shards are
 embarrassingly parallel — the independent-GPU-pool case.
 
-**Correctness bar** (enforced by tests and ``scripts/bench_shard.py``):
+**Correctness bar** (enforced by tests and ``scripts/bench.py check shard``):
 with ``shards=1`` the epoch loop processes the exact event sequence of a
 plain single-process ``env.run()`` (the CRC pop-order digest is
 bit-identical — ``run(until=T)`` only sets deadlines, it never schedules
@@ -93,7 +93,7 @@ def assign_groups(total_groups: int, num_shards: int) -> list[tuple[int, ...]]:
 
 
 def pop_order_crc(trace: list) -> int:
-    """CRC32 of a ``(time, priority, eid)`` pop trace (bench_kernel format)."""
+    """CRC32 of a ``(time, priority, eid)`` pop trace (the kernel bench's format)."""
     crc = 0
     pack = struct.pack
     for when, priority, eid in trace:
@@ -685,7 +685,7 @@ def run_sharded(
         registry.merge_snapshot(snapshot)
 
     # Sync-layer telemetry.  Only deterministic quantities go into the
-    # registry (bench_compare gates exact fields); wall times live in
+    # registry (the bench gate compares exact fields); wall times live in
     # ``result.sync`` where they are understood to be machine-dependent.
     events_per_shard = [h["events_processed"] for h in harvests]
     mean_events = sum(events_per_shard) / len(events_per_shard)
