@@ -22,7 +22,7 @@ from repro.core.deployment import DgsfDeployment, NativeDeployment
 from repro.faas import FunctionSpec
 from repro.mllib import CupyContext
 from repro.mllib.opencvlib import cv_upload, cv_resize, cv_filter, cv_download
-from repro.simcuda.types import GB, MB
+from repro.simcuda.types import GB
 
 
 def monte_carlo_handler(fc):

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="
-    ruff check src tests benchmarks scripts
+    ruff check src tests benchmarks scripts examples
 else
     echo "== ruff not installed; skipping lint =="
 fi

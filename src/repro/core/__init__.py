@@ -45,7 +45,6 @@ from repro.core.stats import (
     OutcomeSummary,
     WorkloadStats,
 )
-from repro.core.tracing import CallTrace, CallRecord, attach_trace
 
 __all__ = [
     "DgsfConfig",
@@ -88,7 +87,4 @@ __all__ = [
     "summarize_outcomes",
     "OutcomeSummary",
     "WorkloadStats",
-    "CallTrace",
-    "CallRecord",
-    "attach_trace",
 ]

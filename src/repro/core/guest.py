@@ -137,8 +137,8 @@ class GuestLibrary:
         self._pending: list[PendingReply] = []
         self._deferred_error: Optional[Exception] = None
         # counters live in the (possibly shared) metrics registry, one
-        # labeled instrument per guest; the legacy attribute names below
-        # are read-only views so CommStats/CallTrace keep working
+        # labeled instrument per guest; the attribute names below are
+        # read-only views over them
         self.guest_id = next(_guest_ids)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         c = self.metrics.counter
@@ -151,8 +151,8 @@ class GuestLibrary:
         self._c_async_replies_lost = c("guest.async_replies_lost", guest=g)
         self._c_rpc_timeouts = c("guest.rpc_timeouts", guest=g)
         self._c_rpc_retries = c("guest.rpc_retries", guest=g)
-        # tracing: RPC spans hang off the invocation's root span when one
-        # is provided (sharing its track), else a per-guest track
+        # tracing: call and RPC spans hang off the invocation's root span
+        # when one is provided (sharing its track), else a per-guest track
         self.tracer = tracer
         self._span = span
         if span is not None:
@@ -257,10 +257,26 @@ class GuestLibrary:
     def _intercept(self) -> None:
         self._c_intercepted.inc()
 
-    def _local(self) -> Generator:
+    def _local(self, api: str) -> Generator:
         """Account a localized call: guest-side cost only."""
         self._c_localized.inc()
+        if self.tracer is not None:
+            self._call_span(api, "local")
         yield self.env.timeout(self.costs.api_call_local_s)
+
+    def _call_span(self, api: str, route: str) -> None:
+        """Record a call that never waits on the wire (localized or
+        batched).  It costs exactly ``api_call_local_s`` from now, so the
+        span is recorded up front.  Category ``call`` is in no
+        critical-path level, so attribution ignores these spans;
+        :func:`repro.obs.critpath.call_mix` counts them beside the
+        ``rpc:*`` spans."""
+        now = self.env.now
+        self.tracer.complete(
+            api, now, now + self.costs.api_call_local_s, cat="call",
+            pid=self._trace_pid, tid=self._trace_tid, parent=self._span,
+            route=route,
+        )
 
     def _remote(self, method: str, *args, extra_bytes: int = 0,
                 reply_extra_bytes: int = 0, **kwargs) -> Generator:
@@ -340,6 +356,8 @@ class GuestLibrary:
             self._batch.append((method, args, extra_bytes))
             if len(self._batch) >= self.batch_flush_threshold:
                 self._flush_now()
+            if self.tracer is not None:
+                self._call_span(method, "batched")
             yield self.env.timeout(self.costs.api_call_local_s)
         else:
             # without batching every enqueue is its own synchronous RPC
@@ -448,10 +466,11 @@ class GuestLibrary:
         # one-way: ordering is guaranteed by the FIFO connection and the
         # server's sequential dispatch; the next sync call observes it
         gen = self.rpc.call_batch(batch, oneway=True)
-        # oneway batches complete synchronously on the client side
+        # oneway batches complete synchronously on the client side; any
+        # other exception is a lost batch and must reach the caller
         try:
             next(gen)
-        except (StopIteration, TypeError):
+        except StopIteration:
             pass
 
     # ======================= CUDA runtime surface =======================
@@ -461,7 +480,7 @@ class GuestLibrary:
         self._intercept()
         if classify("cudaGetDeviceCount", self.flags) is ApiClass.LOCALIZABLE:
             if self._device_count is not None:
-                yield from self._local()
+                yield from self._local("cudaGetDeviceCount")
                 return self._device_count
         count = yield from self._remote("cudaGetDeviceCount")
         self._device_count = count
@@ -476,7 +495,7 @@ class GuestLibrary:
         if classify("cudaSetDevice", self.flags) is ApiClass.LOCALIZABLE:
             if device != 0:
                 raise CudaError(cudaError.cudaErrorInvalidDevice, str(device))
-            yield from self._local()
+            yield from self._local("cudaSetDevice")
             return None
         return (yield from self._remote("cudaSetDevice", device))
 
@@ -538,7 +557,7 @@ class GuestLibrary:
     def cudaMallocHost(self, size: int) -> Generator:
         self._intercept()
         if classify("cudaMallocHost", self.flags) is ApiClass.LOCALIZABLE:
-            yield from self._local()
+            yield from self._local("cudaMallocHost")
             ptr = next(_local_ids)
             self._host_allocs[ptr] = int(size)
             return ptr
@@ -554,7 +573,7 @@ class GuestLibrary:
         if ptr not in self._host_allocs:
             raise CudaError(cudaError.cudaErrorInvalidValue, f"{ptr:#x}")
         if classify("cudaFreeHost", self.flags) is ApiClass.LOCALIZABLE:
-            yield from self._local()
+            yield from self._local("cudaFreeHost")
         else:
             yield from self._remote("pushCallConfiguration")
         del self._host_allocs[ptr]
@@ -565,7 +584,7 @@ class GuestLibrary:
         if classify("cudaPointerGetAttributes", self.flags) is ApiClass.LOCALIZABLE:
             # "the guest library tracks the addresses returned by device
             # memory allocation functions" (§V-C)
-            yield from self._local()
+            yield from self._local("cudaPointerGetAttributes")
             if ptr in self._device_allocs:
                 return PointerAttributes(True, 0, self._device_allocs[ptr])
             if ptr in self._host_allocs:
@@ -585,7 +604,7 @@ class GuestLibrary:
         self._intercept()
         token = self._kernel_tokens.get(name)
         if token is not None:
-            yield from self._local()
+            yield from self._local("cudaGetFunction")
             return token
         token = yield from self._remote("cudaGetFunction", name)
         self._kernel_tokens[name] = token
@@ -597,7 +616,7 @@ class GuestLibrary:
         self._intercept()
         if classify("__cudaPushCallConfiguration", self.flags) is ApiClass.LOCALIZABLE:
             # piggybacked onto the launch itself (§V-C)
-            yield from self._local()
+            yield from self._local("pushCallConfiguration")
             self._push_config = (tuple(grid), tuple(block), stream)
             return None
         yield from self._remote("pushCallConfiguration")
@@ -658,7 +677,7 @@ class GuestLibrary:
             # the guest tracks its own allocations, and the budget is the
             # declared amount — answerable locally once known
             if getattr(self, "_mem_budget", None) is not None:
-                yield from self._local()
+                yield from self._local("cudaMemGetInfo")
                 used = sum(self._device_allocs.values())
                 return (self._mem_budget - used, self._mem_budget)
         free, total = yield from self._remote("cudaMemGetInfo")
@@ -680,7 +699,7 @@ class GuestLibrary:
         self._intercept()
         if classify("cudnnCreateDescriptor", self.flags) is ApiClass.LOCALIZABLE:
             # guest-side descriptor pool: reuse or mint locally (§V-C)
-            yield from self._local()
+            yield from self._local("cudnnCreateDescriptor")
             pool = self._descriptor_pool.get(kind)
             if pool is None:
                 raise CudaError(cudaError.cudaErrorInvalidValue, f"kind {kind!r}")
@@ -695,7 +714,7 @@ class GuestLibrary:
     def cudnnSetDescriptor(self, desc: int, **settings) -> Generator:
         self._intercept()
         if classify("cudnnSetDescriptor", self.flags) is ApiClass.LOCALIZABLE:
-            yield from self._local()
+            yield from self._local("cudnnSetDescriptor")
             if desc in self._local_descriptors:
                 self._local_descriptors[desc][1].update(settings)
             return None
@@ -705,7 +724,7 @@ class GuestLibrary:
     def cudnnDestroyDescriptor(self, desc: int) -> Generator:
         self._intercept()
         if classify("cudnnDestroyDescriptor", self.flags) is ApiClass.LOCALIZABLE:
-            yield from self._local()
+            yield from self._local("cudnnDestroyDescriptor")
             entry = self._local_descriptors.pop(desc, None)
             if entry is not None:
                 self._descriptor_pool[entry[0]].append(desc)

@@ -5,15 +5,16 @@
 * :mod:`repro.obs.trace` — a bounded sim-time span :class:`Tracer` with
   Chrome trace-event JSON export (loadable in Perfetto / chrome://tracing).
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of labeled
-  counters, gauge time-series, and sim-time histograms that the legacy
-  stat summaries (``CommStats``/``CacheStats``/``OutcomeSummary``) are
-  views over.
+  counters, gauge time-series, and sim-time histograms; the guest's and
+  the artifact cache's counter attributes are views over it.
 * :mod:`repro.obs.critpath` — the one latency-attribution engine: a
   critical-path sweep over span trees at the resource level (queue /
   wire / serialization / gpu_compute / object_store / cpu) or the phase
   level (download / cuda_init / gpu_queue / model_load / processing, the
   paper's breakdown), with coverage, p50/p95/p99 aggregation,
-  top-bottleneck tables and folded flamegraph export.
+  top-bottleneck tables and folded flamegraph export — plus
+  ``call_mix``, the guest's call stream per (api, route) read from its
+  ``call`` and ``rpc:*`` spans.
 * :mod:`repro.obs.slo` — a streaming SLO engine over the registry's
   observation stream: multi-window burn-rate availability alerts, GPU
   imbalance and queue-starvation detectors, structured

@@ -15,6 +15,10 @@ wall time; this module sweeps the tree to produce:
   seconds per bucket, the dominant bucket, coverage (fraction of root
   wall time explained by non-root spans; the acceptance bar is >= 95%),
   and the RPC call mix under the invocation,
+* :func:`call_mix` — the guest's API call stream per (api, route): how
+  many calls were localized, batched, async-forwarded or remoted, and
+  the sim time they took (the §V-C view the remoting optimizations were
+  designed from),
 * :func:`aggregate_critpaths` + :func:`bottleneck_table` — mean/p50/p95/
   p99 per bucket, overall and per workload, and "top bottleneck by
   workload x percentile" rollups,
@@ -71,6 +75,7 @@ __all__ = [
     "PathSegment",
     "resource_of",
     "critical_path",
+    "call_mix",
     "invocation_critpaths",
     "aggregate_critpaths",
     "bottleneck_table",
@@ -248,6 +253,31 @@ def critical_path(records, root=None,
     return segments
 
 
+def call_mix(records) -> dict[tuple[str, str], tuple[int, float]]:
+    """Per ``(api, route)``: ``(calls, summed sim seconds)``.
+
+    ``route`` is ``local`` or ``batched`` for the guest's ``call`` spans
+    and ``async`` or ``remote`` for its ``rpc:*`` spans (``route=async``
+    vs ``route=sync``).  ``records`` is any record list, e.g. one trace's
+    or a whole tracer's ``records``: spans without a trace id (a guest
+    with no invocation root) count too.  Keys appear in first-seen order.
+    """
+    mix: dict[tuple[str, str], tuple[int, float]] = {}
+    for r in records:
+        if r.ph != "X":
+            continue
+        if r.cat == "call":
+            key = (r.name, r.args["route"])
+        elif r.cat == "rpc":
+            key = (r.name.removeprefix("rpc:"),
+                   "async" if r.args.get("route") == "async" else "remote")
+        else:
+            continue
+        calls, seconds = mix.get(key, (0, 0.0))
+        mix[key] = (calls + 1, seconds + r.duration_s)
+    return mix
+
+
 def invocation_critpaths(traces, invocations=None,
                          level: Level = RESOURCE_LEVEL) -> list[dict]:
     """One attribution row per root ``invocation`` span.
@@ -275,10 +305,11 @@ def invocation_critpaths(traces, invocations=None,
                 covered += seg.duration_s
         rpc_mix: dict[str, int] = {}
         rpc_time = 0.0
-        for r in records:
-            if r.ph == "X" and r.cat == "rpc":
-                rpc_mix[r.name] = rpc_mix.get(r.name, 0) + 1
-                rpc_time += r.duration_s
+        for (api, route), (calls, seconds) in call_mix(records).items():
+            if route in ("async", "remote"):
+                name = "rpc:" + api
+                rpc_mix[name] = rpc_mix.get(name, 0) + calls
+                rpc_time += seconds
         duration = root.duration_s
         dominant = max(buckets, key=buckets.get, default=None)
         row = {

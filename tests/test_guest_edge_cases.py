@@ -147,6 +147,26 @@ def test_large_batch_flushes_at_threshold(opt):
     world.drive(guest.cudaDeviceSynchronize())
 
 
+def test_batch_flush_surfaces_send_errors():
+    """A failure while shipping a batch reaches the caller instead of
+    vanishing together with the emptied batch buffer."""
+    world = make_world(DgsfConfig(num_gpus=1))
+    guest, _, _ = world.attach_guest(declared_bytes=2 * GB)
+    fptr = world.drive(guest.cudaGetFunction("timed"))
+    world.drive(guest.cudaLaunchKernel(fptr, args=(0.0001,)))
+    assert guest._batch
+    send = guest.rpc.endpoint.send
+
+    def send_failing_batches(msg, **kwargs):
+        if msg.method == "__batch__":
+            raise TypeError("batch not serializable")
+        return send(msg, **kwargs)
+
+    guest.rpc.endpoint.send = send_failing_batches
+    with pytest.raises(TypeError, match="batch not serializable"):
+        world.drive(guest.cudaDeviceSynchronize())
+
+
 def test_properties_follow_current_gpu_after_migration():
     from repro.core.migration import migrate_api_server
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import DgsfConfig
-from repro.core.stats import CacheStats, OutcomeSummary, summarize_invocations
+from repro.core.stats import summarize_invocations, summarize_outcomes
 from repro.experiments.runner import (
     make_plan,
     run_mixed_scenario,
@@ -188,33 +188,28 @@ def test_run_stats_percentiles(traced_face_id):
 
 
 def test_outcome_summary_from_registry(traced_face_id):
+    """The platform's ``invocation.status`` counters and the census over
+    the invocation list agree."""
     inv, dep = traced_face_id
-    outcomes = OutcomeSummary.from_registry(dep.metrics)
-    assert outcomes.counts == {"completed": 1}
-    assert outcomes.total == 1
-    assert outcomes.completion_rate == 1.0
-    assert outcomes.all_terminal
-    assert outcomes.mean_completed_e2e_s == pytest.approx(inv.e2e_s)
-    # a wedged invocation shows up as the shortfall vs expected_total
-    short = OutcomeSummary.from_registry(dep.metrics, expected_total=2)
-    assert short.total == 2
-    assert not short.all_terminal
-    assert short.completion_rate == 0.5
+    counts = {
+        metric.labels["status"]: int(metric.value)
+        for metric in dep.metrics.find("invocation.status")
+    }
+    assert counts == summarize_outcomes([inv]).counts == {"completed": 1}
 
 
 def test_cache_stats_from_registry():
     inv, dep = run_single_invocation_traced(
         "kmeans", "dgsf_warm", DgsfConfig(num_gpus=1)
     )
-    view = CacheStats.from_registry(dep.metrics)
-    assert view.hits > 0
-    assert view.hit_rate > 0
-    # the per-server object view and the registry view agree
+    hits = dep.metrics.total("artifact_cache.hits")
+    assert hits > 0
+    # the registry total and the per-server cache counters agree
     summed = sum(
         s.artifact_cache.hits for s in dep.gpu_server.api_servers
         if s.artifact_cache is not None
     )
-    assert view.hits == summed
+    assert hits == summed
 
 
 # --- the CLI -----------------------------------------------------------------
