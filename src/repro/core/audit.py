@@ -137,7 +137,9 @@ def audit_gpu_server(gpu_server, end_state: bool = False,
         if device.mem_used < 0:
             report.add("memory", f"GPU {device.device_id} mem_used negative")
         for alloc in sorted(device._allocations, key=lambda a: a.handle):
-            if alloc.demand_zero and alloc.data.any():
+            # an unmaterialised window is zeros by construction; never
+            # materialise one just to look at it
+            if alloc.demand_zero and alloc.materialized and alloc.data.any():
                 report.add(
                     "demand-zero",
                     f"GPU {device.device_id} allocation #{alloc.handle} is "

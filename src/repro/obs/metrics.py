@@ -22,16 +22,17 @@ Naming convention: dotted ``<layer>.<metric>`` names
 dimensions go in labels, never in the name.
 
 The registry is also a *stream*: subscribers (see :mod:`repro.obs.slo`)
-receive every recorded observation as ``(metric, value, t)`` the moment
-it happens, stamped with sim time from the registry's bound clock (or
-the explicit ``t`` a gauge sample carries).  Notification is plain
-synchronous bookkeeping — no events, no buffering — so attaching a
-subscriber cannot perturb the simulated timeline.
+receive every recorded observation of the names they watch as
+``(metric, value, t)`` the moment it happens, stamped with sim time from
+the registry's bound clock (or the explicit ``t`` a gauge sample
+carries).  An instrument whose name nobody watches notifies no one.
+Notification is plain synchronous bookkeeping — no events, no buffering
+— so attaching a subscriber cannot perturb the simulated timeline.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile"]
 
@@ -308,25 +309,45 @@ class MetricsRegistry:
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._metrics: dict[tuple[str, tuple], object] = {}
         self.clock = clock
-        self._subscribers: list[Callable] = []
+        #: (callback, watched names or None for every name), in order
+        self._subscribers: list[tuple[Callable, Optional[frozenset]]] = []
+        #: metric name -> the callbacks watching it, in subscription order
+        self._routes: dict[str, tuple] = {}
 
     # -- streaming ---------------------------------------------------------------
-    def subscribe(self, callback: Callable) -> None:
+    def subscribe(self, callback: Callable,
+                  names: Optional[Iterable[str]] = None) -> None:
         """Receive ``(metric, value, t)`` for every recorded observation.
 
-        ``t`` comes from the gauge sample itself or the bound clock (0.0
-        with no clock).  Callbacks must be pure bookkeeping: they run
+        With ``names`` the callback sees only instruments with one of
+        those names; an instrument nobody watches notifies no one.  ``t``
+        comes from the gauge sample itself or the bound clock (0.0 with
+        no clock).  Callbacks must be pure bookkeeping: they run
         synchronously inside the recording call and must never touch the
         event queue or draw randomness.
         """
-        self._subscribers.append(callback)
+        self._subscribers.append(
+            (callback, None if names is None else frozenset(names))
+        )
+        self._routes.clear()
+        for metric in self._metrics.values():
+            self._wire(metric)
+
+    def _wire(self, metric) -> None:
+        """Point ``metric`` at this registry iff someone watches its name."""
+        name = metric.name
+        callbacks = self._routes.get(name)
+        if callbacks is None:
+            callbacks = self._routes[name] = tuple(
+                callback for callback, names in self._subscribers
+                if names is None or name in names
+            )
+        metric._registry = self if callbacks else None
 
     def _notify(self, metric, value, t: Optional[float] = None) -> None:
-        if not self._subscribers:
-            return
         if t is None:
             t = self.clock() if self.clock is not None else 0.0
-        for callback in self._subscribers:
+        for callback in self._routes[metric.name]:
             callback(metric, value, t)
 
     def _get(self, kind: str, name: str, labels: dict):
@@ -334,7 +355,7 @@ class MetricsRegistry:
         metric = self._metrics.get(key)
         if metric is None:
             metric = _KINDS[kind](name, labels)
-            metric._registry = self
+            self._wire(metric)
             self._metrics[key] = metric
             return metric
         expected = _KINDS[kind]

@@ -423,7 +423,8 @@ class SloEngine:
                 self._routes.setdefault(metric_name, []).append(rule)
 
     def attach(self, registry: MetricsRegistry) -> "SloEngine":
-        registry.subscribe(self._on_observation)
+        # only the metrics some rule reads reach the engine at all
+        registry.subscribe(self._on_observation, names=self._routes.keys())
         return self
 
     def on_alert(self, hook) -> "SloEngine":
@@ -435,10 +436,8 @@ class SloEngine:
 
     # -- streaming ---------------------------------------------------------------
     def _on_observation(self, metric, value, t) -> None:
-        interested = self._routes.get(metric.name)
-        if not interested:
-            return
-        for rule in interested:
+        # attach() subscribes to the routed names only
+        for rule in self._routes[metric.name]:
             rule.observe(metric, value, t)
         # any observation also advances time for every rule: a success
         # stream must be able to *clear* an availability burn, and a

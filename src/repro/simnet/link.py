@@ -31,15 +31,23 @@ class NIC:
         #: cumulative bytes ever transmitted (for stats)
         self.bytes_sent = 0
 
-    def transmit(self, size_bytes: int) -> float:
-        """Reserve wire time for ``size_bytes``; return seconds until sent."""
-        if size_bytes < 0:
+    def transmit(self, size_bytes: int, wire_bytes: Optional[int] = None) -> float:
+        """Send ``size_bytes``; return seconds until the last byte is out.
+
+        ``wire_bytes`` (default ``size_bytes``) is what the wire is occupied
+        for: a derated path charges more wire time than it carries bytes,
+        but :attr:`bytes_sent` counts only the bytes really sent.
+        """
+        if wire_bytes is None:
+            wire_bytes = size_bytes
+        if size_bytes < 0 or wire_bytes < 0:
             raise ValueError("size must be non-negative")
-        start = max(self.env.now, self._free_at)
-        duration = (size_bytes * 8.0) / self.bandwidth_bps
+        now = self.env.now
+        start = max(now, self._free_at)
+        duration = (wire_bytes * 8.0) / self.bandwidth_bps
         self._free_at = start + duration
         self.bytes_sent += size_bytes
-        return self._free_at - self.env.now
+        return self._free_at - now
 
     @property
     def busy_until(self) -> float:

@@ -7,12 +7,20 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sim.core import Environment, Event, Timeout
+from repro.sim.core import Environment, Event
 from repro.sim.resources import Store
 from repro.simnet.link import NIC, NetworkProfile
 from repro.simnet.serialization import payload_size, MESSAGE_HEADER_BYTES
 
 __all__ = ["Network", "Host", "Connection", "Endpoint"]
+
+#: payload type -> interned "xfer:<Type>" span name
+_XFER_NAMES: dict[type, str] = {}
+
+
+def _xfer_name(kind: type) -> str:
+    name = _XFER_NAMES[kind] = f"xfer:{kind.__name__}"
+    return name
 
 
 class Host:
@@ -77,6 +85,10 @@ class Endpoint:
         #: messages sent / received counters (for optimization accounting)
         self.messages_sent = 0
         self.bytes_out = 0
+        # per-message constants, built once: the delivery callback and the
+        # trace track used when the connection carries no label
+        self._deliver_cb = self._deliver
+        self._tid = f"{local.name}->{remote.name}"
 
     @property
     def env(self) -> Environment:
@@ -90,34 +102,38 @@ class Endpoint:
         materializing it.
         """
         assert self._peer is not None
-        network = self.connection.network
+        connection = self.connection
+        network = connection.network
+        env = network.env
         profile = network.profile_for(self.local, self.remote)
         rng = network.rng
         size = MESSAGE_HEADER_BYTES + payload_size(payload) + max(0, int(extra_bytes))
         factor = profile.sample_bandwidth_factor(rng)
         if factor <= 0:
             raise ConfigurationError("bandwidth factor must be positive")
-        # Derated paths behave like a slower NIC: inflate occupied wire time.
-        effective_size = int(round(size / factor))
-        serialize_delay = self.local.nic.transmit(effective_size)
+        # Derated paths behave like a slower NIC: inflate occupied wire
+        # time, not the byte count.
+        serialize_delay = self.local.nic.transmit(size, int(round(size / factor)))
         latency = profile.sample_latency(rng)
-        faults = self.connection.faults
+        faults = connection.faults
+        now = env.now
         if faults is not None:
-            latency += faults.delay_spike(self.env.now)
-        deliver_at = self.env.now + serialize_delay + latency
+            latency += faults.delay_spike(now)
+        deliver_at = now + serialize_delay + latency
         # Enforce per-direction FIFO despite latency jitter.
-        deliver_at = max(deliver_at, self._last_delivery)
+        if deliver_at < self._last_delivery:
+            deliver_at = self._last_delivery
         self._last_delivery = deliver_at
         self.messages_sent += 1
         self.bytes_out += size
-        lost = faults is not None and faults.drops(self.env.now)
-        tracer = self.connection.tracer
+        lost = faults is not None and faults.drops(now)
+        tracer = connection.tracer
         if tracer is not None:
-            trace_id, parent_id = self.connection.trace_ctx or (None, None)
+            trace_id, parent_id = connection.trace_ctx or (None, None)
+            kind = type(payload)
             tracer.complete(
-                f"xfer:{type(payload).__name__}", self.env.now, deliver_at,
-                cat="net", pid="net",
-                tid=self.connection.label or f"{self.local.name}->{self.remote.name}",
+                _XFER_NAMES.get(kind) or _xfer_name(kind), now, deliver_at,
+                cat="net", pid="net", tid=connection.label or self._tid,
                 trace_id=trace_id, parent_id=parent_id,
                 bytes=size, src=self.local.name, dst=self.remote.name,
                 **({"dropped": True} if lost else {}),
@@ -125,10 +141,12 @@ class Endpoint:
         if lost:
             # Transmitted (wire time charged above) but lost in flight.
             return deliver_at
-        peer_inbox = self._peer.inbox
-        delivery = Timeout(self.env, deliver_at - self.env.now)
-        delivery.callbacks.append(lambda _ev: peer_inbox.put(payload))
+        # the delivery timeout carries the payload as its value
+        env.timeout(deliver_at - now, payload).callbacks.append(self._deliver_cb)
         return deliver_at
+
+    def _deliver(self, event: Event) -> None:
+        self._peer.inbox.put(event._value)
 
     def recv(self, filter: Optional[Callable[[Any], bool]] = None) -> Event:
         """Event firing with the next message (matching ``filter`` if given)."""

@@ -25,7 +25,7 @@ from typing import Any, Callable, Generator, Optional
 from repro.errors import ReproError
 from repro.sim.core import Environment, Interrupt
 from repro.simnet.net import Endpoint
-from repro.simnet.serialization import payload_size
+from repro.simnet.serialization import payload_size, register_wire_type
 
 __all__ = [
     "RpcRequest",
@@ -47,6 +47,18 @@ class RpcTimeout(RpcError):
     server); the caller may retry idempotent calls."""
 
 
+#: method name -> its wire size; method names are a small fixed vocabulary
+_METHOD_BYTES: dict[str, int] = {}
+
+
+def _method_bytes(method: str) -> int:
+    size = _METHOD_BYTES.get(method)
+    if size is None:
+        size = _METHOD_BYTES[method] = payload_size(method)
+    return size
+
+
+@register_wire_type
 @dataclass
 class RpcRequest:
     """One remoted call (or a batch of them when ``batch`` is set)."""
@@ -63,13 +75,14 @@ class RpcRequest:
     batch: Optional[list["RpcRequest"]] = None
 
     def wire_size(self) -> int:
-        size = 16 + payload_size(self.method) + payload_size(self.args)
+        size = 16 + _method_bytes(self.method) + payload_size(self.args)
         size += payload_size(self.kwargs) if self.kwargs else 0
         if self.batch:
             size += sum(r.wire_size() for r in self.batch)
         return size
 
 
+@register_wire_type
 @dataclass
 class RpcReply:
     msg_id: int

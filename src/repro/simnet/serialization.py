@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["payload_size", "MESSAGE_HEADER_BYTES"]
+__all__ = ["payload_size", "register_wire_type", "MESSAGE_HEADER_BYTES"]
 
 #: Per-message framing overhead: message id, kind, method id, lengths.
 MESSAGE_HEADER_BYTES = 64
@@ -51,6 +51,8 @@ def payload_size(value: Any) -> int:
         return _CONTAINER_OVERHEAD + len(value)
     if kind is np.ndarray:
         return _CONTAINER_OVERHEAD + int(value.nbytes)
+    if kind in _WIRE_TYPES:
+        return value.wire_size()
     return _general_size(value)
 
 
@@ -62,6 +64,20 @@ _FIXED_BYTES = {
     int: _SCALAR_BYTES,
     float: _SCALAR_BYTES,
 }
+
+
+#: exact types whose ``wire_size()`` method answers for them (protocol
+#: messages; see :func:`register_wire_type`)
+_WIRE_TYPES: set = set()
+
+
+def register_wire_type(cls: type) -> type:
+    """Size exact instances of ``cls`` by their ``wire_size()`` method on
+    :func:`payload_size`'s fast path.  The answer is the one the general
+    walk would give, so ``cls`` must not subclass a type the walk sizes
+    structurally (scalars, strings, buffers, arrays, containers)."""
+    _WIRE_TYPES.add(cls)
+    return cls
 
 
 def _general_size(value: Any) -> int:

@@ -4,13 +4,15 @@ A launch whose declared pointer args all land in demand-zero allocations
 keeps its timing but skips the numpy payload.  These tests pin the skip
 as exact: memory ends byte-identical to running the payload, nonzero
 memory always runs it, and the flag is only ever True over all-zero bytes.
+They also pin the lazy backing buffer: memory nobody stored a nonzero
+byte into has none, through every path that moves zeros.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DgsfConfig, audit_gpu_server
+from repro.core import DgsfConfig, audit_deployment, audit_gpu_server
 from repro.core.migration import migrate_api_server
 from repro.core.migration_strategies import checkpoint_restore_migration
 from repro.sim import Environment
@@ -166,16 +168,24 @@ def test_declared_payloads_accept_windows_ending_mid_element(name):
 
 def test_fresh_allocation_is_demand_zero():
     assert PhysicalAllocation(0, 4096, payload_cap=4096).demand_zero
+    # ...and has no backing buffer, however large its window
+    alloc = PhysicalAllocation(0, 8 * GB, payload_cap=1 * MB)
+    assert alloc.demand_zero and not alloc.materialized
+    assert alloc.payload_bytes == 1 * MB
 
 
 def test_writing_zeros_keeps_the_flag_and_nonzero_clears_it():
     alloc = PhysicalAllocation(0, 4096, payload_cap=4096)
     alloc.write(0, np.zeros(128, dtype=np.uint8))
-    assert alloc.demand_zero
+    alloc.write(100, np.zeros(3, dtype=np.float64))
+    assert alloc.demand_zero and not alloc.materialized
     alloc.write(5000, np.ones(8, dtype=np.uint8))  # beyond the window
-    assert alloc.demand_zero
-    alloc.write(64, np.ones(1, dtype=np.uint8))
-    assert not alloc.demand_zero
+    assert alloc.demand_zero and not alloc.materialized
+    alloc.write(62, np.array([0, 0, 1], dtype=np.uint8))
+    assert not alloc.demand_zero and alloc.materialized
+    expected = np.zeros(4096, dtype=np.uint8)
+    expected[64] = 1
+    assert np.array_equal(alloc.data, expected)
     # a zero write over the nonzero byte does not re-arm the flag
     alloc.write(64, np.zeros(1, dtype=np.uint8))
     assert not alloc.demand_zero
@@ -219,7 +229,75 @@ def test_migration_keeps_untouched_allocations_demand_zero(strategy):
         mapping, _ = server.context.address_space.translate(va)
         assert mapping.allocation.device_id == 1
         assert mapping.allocation.demand_zero
+        assert not mapping.allocation.materialized
     world.detach_guest(guest, server, rpc)
+
+
+# --- lazy backing buffer ------------------------------------------------------------
+
+def _world_allocs(n, size=64 * 1024):
+    """A world with one guest and ``n`` fresh allocations of ``size``."""
+    world = make_world(DgsfConfig(num_gpus=1))
+    guest, server, rpc = world.attach_guest(declared_bytes=1 * GB)
+    ptrs = [world.drive(guest.cudaMalloc(size)) for _ in range(n)]
+    allocs = [server.context.address_space.translate(p)[0].allocation for p in ptrs]
+    return world, (guest, server, rpc), ptrs, allocs
+
+
+def test_read_of_an_unmaterialised_window_is_zeros_of_the_clipped_length():
+    alloc = PhysicalAllocation(0, 1 * MB, payload_cap=1000)
+    for offset, length, n in ((0, 16, 16), (990, 64, 10), (1000, 8, 0), (2000, 8, 0)):
+        got = alloc.read(offset, length)
+        assert got.dtype == np.uint8 and len(got) == n and not got.any()
+    assert not alloc.materialized
+
+
+def test_copy_between_unmaterialised_allocations_copies_nothing():
+    src = PhysicalAllocation(0, 512, payload_cap=4096)
+    dst = PhysicalAllocation(1, 512, payload_cap=4096)
+    dst.copy_payload_from(src)
+    assert not dst.materialized and dst.demand_zero
+
+
+def test_copy_from_unmaterialised_source_zeroes_a_dirty_destination_window():
+    src = PhysicalAllocation(0, 256, payload_cap=4096)
+    dst = PhysicalAllocation(1, 512, payload_cap=4096)
+    dst.write(0, np.full(512, 9, dtype=np.uint8))
+    dst.copy_payload_from(src)
+    assert not src.materialized
+    assert not dst.data[:256].any()
+    assert (dst.data[256:] == 9).all()
+    assert not dst.demand_zero  # the tail still holds nonzero bytes
+
+
+def test_release_drops_the_buffer():
+    alloc = PhysicalAllocation(0, 4096, payload_cap=4096)
+    alloc.write(0, np.ones(8, dtype=np.uint8))
+    alloc.release()
+    assert not alloc.materialized
+    assert alloc.payload_bytes == 0
+
+
+def test_zero_memset_h2d_and_d2d_leave_allocations_unmaterialised():
+    world, attached, ptrs, allocs = _world_allocs(3)
+    guest = attached[0]
+    world.drive(guest.cudaMemset(ptrs[0], 0, 64 * 1024))
+    world.drive(guest.memcpyH2D(ptrs[1], 4096, payload=np.zeros(1024, np.float32)))
+    world.drive(guest.memcpyD2D(ptrs[2], ptrs[0], 64 * 1024))
+    assert not any(a.materialized for a in allocs)
+    assert all(a.demand_zero for a in allocs)
+    # a nonzero memset materialises exactly its target
+    world.drive(guest.cudaMemset(ptrs[2], 1, 16))
+    assert [a.materialized for a in allocs] == [False, False, True]
+    assert not allocs[2].demand_zero
+    world.detach_guest(*attached)
+
+
+def test_auditor_never_materialises_a_buffer():
+    world, attached, _, allocs = _world_allocs(2)
+    assert audit_deployment(world.dep).ok
+    assert not any(a.materialized for a in allocs)
+    world.detach_guest(*attached)
 
 
 # --- auditor ----------------------------------------------------------------------

@@ -101,6 +101,33 @@ def test_registry_as_dict_snapshot():
     assert snap["h"]["count"] == 1
 
 
+# --- streaming ---------------------------------------------------------------
+
+def test_unwatched_instrument_notifies_no_subscriber():
+    reg = MetricsRegistry(clock=lambda: 1.5)
+    seen = []
+    reg.subscribe(lambda m, v, t: seen.append((m.name, v, t)), names=["watched"])
+    reg.counter("unwatched", gpu=0).inc(3)
+    reg.gauge("unwatched.gauge").set(0.5, t=2.0)
+    reg.histogram("unwatched.hist").observe(4.0)
+    assert seen == []
+    reg.counter("watched", gpu=0).inc(2)
+    assert seen == [("watched", 2, 1.5)]
+
+
+def test_late_subscriber_sees_existing_instruments_in_subscription_order():
+    reg = MetricsRegistry(clock=lambda: 0.0)
+    ctr = reg.counter("c")
+    hist = reg.histogram("h")
+    ctr.inc()  # before anyone subscribed: nobody hears it
+    seen = []
+    reg.subscribe(lambda m, v, t: seen.append(("named", m.name, v)), names={"c"})
+    reg.subscribe(lambda m, v, t: seen.append(("all", m.name, v)))
+    ctr.inc(5)
+    hist.observe(2.0)
+    assert seen == [("named", "c", 5), ("all", "c", 5), ("all", "h", 2.0)]
+
+
 # --- percentile edge cases ---------------------------------------------------
 
 def test_percentile_empty_series_raises():

@@ -8,9 +8,14 @@ accidentally quadratic scan, per-event allocation storms), not CI noise.
 
 import time
 
+import pytest
+
+from repro.core.api_server import ApiServer
 from repro.core.config import DgsfConfig
+from repro.experiments.llm_ablation import run_llm_scenario
 from repro.experiments.runner import build_deployment
 from repro.sim import Environment
+from repro.simcuda.phys import PhysicalAllocation
 from repro.workloads import register_workloads
 
 
@@ -55,3 +60,35 @@ def test_invocation_event_budget():
     dep.env.run(until=proc)
     assert inv.status == "completed"
     assert dep.env.events_processed <= 17_000
+
+
+@pytest.mark.parametrize("workload, kwargs", [
+    ("llm_chat", dict(copies=2)),
+    ("llm_chat_storm", dict(copies=2, burst_gap_s=0.15)),
+])
+def test_kv_pages_never_get_a_backing_buffer(monkeypatch, workload, kwargs):
+    """Memory ceiling for LLM serving: a KV page is accounting only, so
+    no page may ever be zero-filled host memory — checked when the page
+    is released and, for pages still live, at the end of the run."""
+    pages, materialized_at_release = set(), []
+    llm_alloc, release = ApiServer._llm_alloc, PhysicalAllocation.release
+
+    def recording_alloc(server, size):
+        va = yield from llm_alloc(server, size)
+        mapping, _ = server.memory_context.address_space.translate(va)
+        pages.add(mapping.allocation)
+        return va
+
+    def checked_release(alloc):
+        if alloc in pages:
+            materialized_at_release.append(alloc.materialized)
+        release(alloc)
+
+    monkeypatch.setattr(ApiServer, "_llm_alloc", recording_alloc)
+    monkeypatch.setattr(PhysicalAllocation, "release", checked_release)
+    records, _ = run_llm_scenario(workload, "continuous", tracing_enabled=False,
+                                  **kwargs)
+    assert all(rec.status == "completed" for rec in records)
+    assert materialized_at_release, "no KV page was released"
+    assert not any(materialized_at_release)
+    assert not any(page.materialized for page in pages)

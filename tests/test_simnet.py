@@ -11,6 +11,8 @@ from repro.simnet import (
     Network,
     NetworkProfile,
     RpcClient,
+    RpcReply,
+    RpcRequest,
     RpcServer,
     RpcError,
     RpcTimeout,
@@ -59,6 +61,16 @@ def _reference_payload_size(value):
                        for k, v in value.items())
     if isinstance(value, (list, tuple, set, frozenset)):
         return 8 + sum(_reference_payload_size(v) for v in value)
+    # the RPC messages' layouts, spelled out field by field
+    if isinstance(value, RpcRequest):
+        size = 16 + _reference_payload_size(value.method)
+        size += _reference_payload_size(value.args)
+        if value.kwargs:
+            size += _reference_payload_size(value.kwargs)
+        return size + sum(_reference_payload_size(r) for r in value.batch or ())
+    if isinstance(value, RpcReply):
+        size = 16 + _reference_payload_size(value.value)
+        return size + (_reference_payload_size(value.error) if value.error else 0)
     wire = getattr(value, "wire_size", None)
     if wire is not None:
         return int(wire() if callable(wire) else wire)
@@ -94,6 +106,23 @@ def test_payload_size_fast_path_matches_the_isinstance_walk():
         (Msg(), Desc(), object()), Msg(), Desc(), object(),
         MyInt(3), MyList([1, 2, MyInt(4)]), Point(1, (2, 3)),
         ((1, 1, 1), (256, 1, 1), (0.5, 10, 20, 30, 100, 16, 16), 0, None),
+    ]
+    for value in corpus:
+        assert payload_size(value) == _reference_payload_size(value), value
+
+
+def test_rpc_message_sizes_match_the_isinstance_walk():
+    sub = RpcRequest(0, "cudaMemcpyAsync", (4096, 7, None), extra_bytes=64)
+    corpus = [
+        RpcRequest(1, "cudaMalloc", (1024,)),
+        RpcRequest(2, "cudaMalloc", (2048,)),  # the method size is cached
+        RpcRequest(3, "cudaLaunchKernel", (1, 2), kwargs={"stream": 0, "sync": True}),
+        RpcRequest(4, "__batch__", batch=[sub, RpcRequest(0, "cudaMalloc", (8,))]),
+        RpcRequest(5, "héllo", ((1, (2.0, "s")), [np.zeros(3)], {"k": (None,)})),
+        RpcReply(6, value=(1, "ok", np.zeros(4, dtype=np.uint8))),
+        RpcReply(7),
+        RpcReply(8, error="boom"),
+        (RpcRequest(9, "x"), [RpcReply(10, value=3)]),
     ]
     for value in corpus:
         assert payload_size(value) == _reference_payload_size(value), value
@@ -271,6 +300,30 @@ def test_bandwidth_derating_slows_transfers():
     env.run()
     # 1 GB at an effective 0.5 GB/s → ~2 s
     assert got[0] == pytest.approx(2.0, rel=1e-2)
+
+
+def test_derated_path_counts_real_bytes_and_charges_derated_wire_time():
+    env = Environment()
+    net = Network(env, default_profile=NetworkProfile(latency_s=0.0, bandwidth_factor=0.25))
+    a = net.add_host("a", bandwidth_bps=8e6)  # 1 MB/s
+    b = net.add_host("b", bandwidth_bps=8e6)
+    conn = net.connect(a, b)
+    got = []
+
+    def receiver(env):
+        yield conn.b.recv()
+        got.append(env.now)
+
+    deliver_at = conn.a.send("x", extra_bytes=1000)
+    env.process(receiver(env))
+    env.run()
+    size = MESSAGE_HEADER_BYTES + payload_size("x") + 1000
+    assert size == 1073
+    assert conn.a.bytes_out == size
+    assert a.nic.bytes_sent == conn.a.bytes_out
+    # the wire is occupied as if 4x the bytes went out at full speed
+    assert got == [deliver_at]
+    assert deliver_at == pytest.approx(4292 / 1e6)
 
 
 def test_jitter_requires_rng_and_is_reproducible():
