@@ -47,6 +47,16 @@ __all__ = ["ApiServer", "ApiServerDown", "FunctionSession", "ApiServerStats"]
 
 _token_ids = itertools.count(0xA000_0000)
 
+#: remoted method -> interned "srv:<method>" span name
+_SRV_NAMES: dict[str, str] = {}
+#: arg names of a "server" span
+_SRV_KEYS = ("status", "server", "msg_id", "calls")
+
+
+def _srv_name(method: str) -> str:
+    name = _SRV_NAMES[method] = f"srv:{method}"
+    return name
+
 
 class ApiServerDown(ReproError):
     """The API server process died (injected crash or detected failure).
@@ -159,6 +169,7 @@ class ApiServer:
         #: optional :class:`repro.obs.Tracer` (set by the deployment):
         #: execution of each remoted call/batch becomes a "server" span
         self.tracer = None
+        self._track: Optional[tuple[str, str]] = None
         #: optional :class:`~repro.core.faults.ServerFaultInjector`
         self.fault_injector = None
         #: calls remaining until the injected crash fires (None = no crash)
@@ -297,19 +308,22 @@ class ApiServer:
 
     # -- RPC dispatch -------------------------------------------------------------------
     def _trace_track(self) -> tuple[str, str]:
-        host = getattr(self.gpu_server, "host", None)
-        pid = host.name if host is not None else "gpu-server"
-        return pid, f"api-{self.server_id}"
+        track = self._track
+        if track is None:
+            host = getattr(self.gpu_server, "host", None)
+            pid = host.name if host is not None else "gpu-server"
+            track = self._track = (pid, f"api-{self.server_id}")
+        return track
 
-    def _trace_server_span(self, name, t0, request, status, calls=1) -> None:
+    def _trace_server_span(self, method, t0, request, status, calls=1) -> None:
         """Record execution of a remoted call/batch (t0 = arrival, so the
         exec-lock wait is visible inside the span)."""
         trace_id, parent_id = getattr(request, "_trace", (None, None))
         pid, tid = self._trace_track()
-        self.tracer.complete(
-            name, t0, self.env.now, cat="server", pid=pid, tid=tid,
-            trace_id=trace_id, parent_id=parent_id, status=status,
-            server=self.server_id, msg_id=request.msg_id, calls=calls,
+        self.tracer.emit(
+            _SRV_NAMES.get(method) or _srv_name(method), "server", t0,
+            self.env.now, pid, tid, trace_id, parent_id, "X", _SRV_KEYS,
+            (status, self.server_id, request.msg_id, calls),
         )
 
     def handle(self, request: RpcRequest) -> Generator:
@@ -334,7 +348,7 @@ class ApiServer:
                 return result
         finally:
             if self.tracer is not None:
-                self._trace_server_span(f"srv:{request.method}", t0, request, status)
+                self._trace_server_span(request.method, t0, request, status)
 
     def handle_batch(self, requests: list) -> Generator:
         """Execute a shipped batch under one exec-lock acquisition.
@@ -366,7 +380,7 @@ class ApiServer:
         finally:
             if self.tracer is not None and requests:
                 self._trace_server_span(
-                    "srv:__batch__", t0, requests[0], status, calls=len(requests)
+                    "__batch__", t0, requests[0], status, calls=len(requests)
                 )
 
     # Each _rpc_* method below implements one remoted API.
@@ -536,10 +550,7 @@ class ApiServer:
 
         def start():
             mapping, offset = ctx.address_space.translate(dev_ptr)
-            window = mapping.allocation.read(offset, size)
-            mapping.allocation.write(
-                offset, np.full(len(window), value & 0xFF, np.uint8)
-            )
+            mapping.allocation.fill(offset, size, value & 0xFF)
             return ctx.device.memset(size)
 
         done = self._stream(stream).enqueue(start, name="memset")

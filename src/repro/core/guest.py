@@ -50,6 +50,19 @@ __all__ = ["GuestLibrary", "GuestGpuBundle", "GuestRpcError", "IDEMPOTENT_METHOD
 _local_ids = itertools.count(0x6000_0000)
 _guest_ids = itertools.count(1)
 
+#: remoted method -> interned "rpc:<method>" span name
+_RPC_NAMES: dict[str, str] = {}
+#: arg names of call and RPC spans, by route
+_CALL_KEYS = ("route",)
+_RPC_SYNC_KEYS = ("route", "status", "attempts", "req_bytes", "reply_bytes")
+_RPC_ASYNC_KEYS = ("route", "req_bytes", "msg_id")
+
+
+def _rpc_name(method: str) -> str:
+    name = _RPC_NAMES[method] = f"rpc:{method}"
+    return name
+
+
 #: flush the batch buffer when it reaches this many calls even without a
 #: synchronization point (bounds guest memory and server burstiness)
 BATCH_FLUSH_THRESHOLD = 48
@@ -157,8 +170,10 @@ class GuestLibrary:
         self._span = span
         if span is not None:
             self._trace_pid, self._trace_tid = span.pid, span.tid
+            self._trace_parent = (span.trace_id, span.span_id)
         else:
             self._trace_pid, self._trace_tid = "guest", f"guest-{g}"
+            self._trace_parent = (None, None)
         if tracer is not None and span is not None:
             # propagate the trace context on the wire so the API server
             # can parent its execution spans under this invocation
@@ -272,10 +287,11 @@ class GuestLibrary:
         :func:`repro.obs.critpath.call_mix` counts them beside the
         ``rpc:*`` spans."""
         now = self.env.now
-        self.tracer.complete(
-            api, now, now + self.costs.api_call_local_s, cat="call",
-            pid=self._trace_pid, tid=self._trace_tid, parent=self._span,
-            route=route,
+        trace_id, parent_id = self._trace_parent
+        self.tracer.emit(
+            api, "call", now, now + self.costs.api_call_local_s,
+            self._trace_pid, self._trace_tid, trace_id, parent_id, "X",
+            _CALL_KEYS, (route,),
         )
 
     def _remote(self, method: str, *args, extra_bytes: int = 0,
@@ -338,12 +354,12 @@ class GuestLibrary:
                     return result
         finally:
             if self.tracer is not None:
-                self.tracer.complete(
-                    f"rpc:{method}", t0, self.env.now, cat="rpc",
-                    pid=self._trace_pid, tid=self._trace_tid,
-                    parent=self._span, route="sync", status=status,
-                    attempts=attempts, req_bytes=extra_bytes,
-                    reply_bytes=reply_extra_bytes,
+                trace_id, parent_id = self._trace_parent
+                self.tracer.emit(
+                    _RPC_NAMES.get(method) or _rpc_name(method), "rpc", t0,
+                    self.env.now, self._trace_pid, self._trace_tid, trace_id,
+                    parent_id, "X", _RPC_SYNC_KEYS,
+                    ("sync", status, attempts, extra_bytes, reply_extra_bytes),
                 )
 
     def _enqueue(self, method: str, args: tuple, extra_bytes: int = 0) -> Generator:
@@ -383,10 +399,12 @@ class GuestLibrary:
         if self.tracer is not None:
             # open span closed at harvest time — the span's extent is the
             # call's full pipelined lifetime (send -> completion observed)
-            pending.span = self.tracer.begin(
-                f"rpc:{method}", cat="rpc", pid=self._trace_pid,
-                tid=self._trace_tid, parent=self._span, route="async",
-                req_bytes=extra_bytes, msg_id=pending.msg_id,
+            trace_id, parent_id = self._trace_parent
+            pending.span = self.tracer.start_span(
+                _RPC_NAMES.get(method) or _rpc_name(method), "rpc",
+                self._trace_pid, self._trace_tid, trace_id, parent_id,
+                self.env.now, _RPC_ASYNC_KEYS,
+                ("async", extra_bytes, pending.msg_id),
             )
         self._pending.append(pending)
         yield self.env.timeout(self.costs.api_call_local_s)

@@ -93,7 +93,9 @@ def checkpoint_restore_migration(api_server, target_device_id: int) -> Generator
             old_alloc = mapping.allocation
             # snapshot: D2H on the source...
             yield source_device.copy_d2h(size)
-            host_copy = old_alloc.read(0, old_alloc.payload_bytes)
+            # unmaterialised memory is all zeros: nothing to snapshot
+            host_copy = (old_alloc.read(0, old_alloc.payload_bytes)
+                         if old_alloc.materialized else None)
             driver.cuMemUnmap(source_ctx, va)
             driver.cuMemAddressFree(source_ctx, va)
             yield from driver.cuMemRelease(old_alloc)
@@ -102,7 +104,8 @@ def checkpoint_restore_migration(api_server, target_device_id: int) -> Generator
             new_va = driver.cuMemAddressReserve(target_ctx, size)
             driver.cuMemMap(target_ctx, new_va, new_alloc)
             yield target_device.copy_h2d(size)
-            new_alloc.write(0, host_copy)
+            if host_copy is not None:
+                new_alloc.write(0, host_copy)
             session.allocations[new_va] = size
             moved += size
 

@@ -150,7 +150,7 @@ def tracing_rows(invocations: int, groups: int, seed: int,
             "n_events": traced.events_processed,
             "merged_crc": traced.merged_digest,
             "trace_digest": traced.trace_digest,
-            "n_spans": len(traced.tracer.records),
+            "n_spans": traced.tracer.n_records,
             "n_envelopes": traced.n_envelopes,
             "events_per_sec_ratio": round(traced_eps / base_eps, 3),
         })

@@ -40,6 +40,9 @@ from repro.errors import ConfigurationError, SimulationError
 
 __all__ = ["LlmModelSpec", "ChatRequest", "make_chat_trace", "LlmSession"]
 
+#: arg names of an ``llm_token`` instant
+_TOKEN_KEYS = ("req", "n", "done")
+
 
 @dataclass(frozen=True)
 class LlmModelSpec:
@@ -212,6 +215,7 @@ class LlmSession:
         # exemplar link: latency observations carry the serving trace id
         # so an SLO alert (or a histogram bucket) can name the trace
         trace_id = self.span.trace_id if self.span is not None else None
+        token_instant = self.span.emit_instant if self.span is not None else None
         while next_idx < len(ordered) or inflight:
             # submit every request that has arrived by now
             while (next_idx < len(ordered)
@@ -244,8 +248,8 @@ class LlmSession:
                 self.emission_crc = zlib.crc32(
                     struct.pack("<qqd", req_id, token_n, t), self.emission_crc
                 )
-                if self.span is not None:
-                    self.span.instant("llm_token", req=req_id, n=token_n, done=done)
+                if token_instant is not None:
+                    token_instant("llm_token", _TOKEN_KEYS, (req_id, token_n, done))
                 if done:
                     finish[req_id] = t
                     inflight.discard(req_id)

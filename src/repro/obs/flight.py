@@ -133,7 +133,7 @@ def write_flight_bundle(result, out_dir,
         "events_processed": result.events_processed,
         "merged_digest": result.merged_digest,
         "trace_digest": result.trace_digest,
-        "n_span_records": len(tracer.records),
+        "n_span_records": tracer.n_records,
         "n_alerts": len(result.alerts),
         "files": list(_BUNDLE_FILES),
         # sampling provenance: a bundle made at rate < 1.0 holds a

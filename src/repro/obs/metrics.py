@@ -32,6 +32,7 @@ Notification is plain synchronous bookkeeping — no events, no buffering
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile"]
@@ -177,10 +178,11 @@ _EXEMPLAR_EDGES = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5,
 
 def _exemplar_bucket(value: float) -> float:
     """The upper edge of the exemplar bucket ``value`` falls in
-    (``inf`` for values beyond the last edge)."""
-    for edge in _EXEMPLAR_EDGES:
-        if value <= edge:
-            return edge
+    (``inf`` for values beyond the last edge, and for NaN, which is
+    ``<=`` no edge)."""
+    i = bisect_left(_EXEMPLAR_EDGES, value)
+    if i < len(_EXEMPLAR_EDGES) and value == value:
+        return _EXEMPLAR_EDGES[i]
     return float("inf")
 
 

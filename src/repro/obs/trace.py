@@ -16,6 +16,13 @@ surfaced in :meth:`Tracer.summary` and in the exported JSON's
 Recording is pure bookkeeping over ``env.now`` — no events, no timeouts,
 no RNG — so tracing never perturbs the simulated timeline.
 
+Records are stored as flat rows, and :meth:`Tracer.emit` is the one
+recording path: a record costs a span id, a sampler check when sampling
+is on, and one tuple append.  Nothing reads records during a run, so the
+:class:`SpanRecord` objects that queries return are built on first read
+(:attr:`Tracer.records`), each replacing its row; counts, the Chrome
+export, the digest and snapshots read rows and need no objects.
+
 Export is the Chrome trace-event JSON object format (``traceEvents`` +
 metadata), loadable in Perfetto or chrome://tracing.  Track names
 (``pid``/``tid``) are strings internally and mapped to integers with
@@ -43,6 +50,7 @@ from __future__ import annotations
 import itertools
 import json
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,9 +72,17 @@ _NAMESPACE_STRIDE = 1 << 40
 _SNAPSHOT_VERSION = 1
 
 
+#: one stored record, flat: ``(span_id, parent_id, trace_id, name, cat,
+#: t_start, t_end, pid, tid, ph, arg_keys, arg_vals)``.  ``arg_keys`` is
+#: usually a module-level constant tuple at the recording site, so a row
+#: costs one tuple of values and one append.
+_ARGS = 10  # index of arg_keys; arg_vals follows
+
+
 @dataclass
 class SpanRecord:
-    """One completed span ("X") or instant ("i") event."""
+    """One completed span ("X") or instant ("i") event — the read-side
+    view of a stored row (see :attr:`Tracer.records`)."""
 
     span_id: int
     parent_id: Optional[int]
@@ -85,16 +101,31 @@ class SpanRecord:
         return self.t_end - self.t_start
 
 
+def _row_record(row: tuple) -> SpanRecord:
+    return SpanRecord(*row[:_ARGS], dict(zip(row[_ARGS], row[_ARGS + 1])))
+
+
+def _record_row(r: SpanRecord) -> tuple:
+    return (r.span_id, r.parent_id, r.trace_id, r.name, r.cat, r.t_start,
+            r.t_end, r.pid, r.tid, r.ph, tuple(r.args), tuple(r.args.values()))
+
+
+def _row_entry(row: tuple) -> tuple:
+    """A row in snapshot wire form (args as a dict)."""
+    return row[:_ARGS] + (dict(zip(row[_ARGS], row[_ARGS + 1])),)
+
+
 class Span:
     """An open span; call :meth:`end` to record it."""
 
     __slots__ = (
         "tracer", "span_id", "parent_id", "trace_id",
-        "name", "cat", "pid", "tid", "t_start", "args", "_ended",
+        "name", "cat", "pid", "tid", "t_start", "arg_keys", "arg_vals",
+        "_ended",
     )
 
     def __init__(self, tracer, name, cat, pid, tid, trace_id, parent_id,
-                 t_start, args):
+                 t_start, arg_keys, arg_vals):
         self.tracer = tracer
         self.span_id = tracer._next_span_id()
         self.parent_id = parent_id
@@ -104,7 +135,8 @@ class Span:
         self.pid = pid
         self.tid = tid
         self.t_start = t_start
-        self.args = args
+        self.arg_keys = arg_keys
+        self.arg_vals = arg_vals
         self._ended = False
 
     def end(self, t_end: Optional[float] = None, **args) -> None:
@@ -112,21 +144,26 @@ class Span:
         if self._ended:
             return
         self._ended = True
-        self.tracer._open.pop(self.span_id, None)
+        tracer = self.tracer
+        tracer._open.pop(self.span_id, None)
+        keys, vals = self.arg_keys, self.arg_vals
         if args:
-            self.args.update(args)
-        self.tracer._record(SpanRecord(
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            trace_id=self.trace_id,
-            name=self.name,
-            cat=self.cat,
-            t_start=self.t_start,
-            t_end=self.tracer.now if t_end is None else t_end,
-            pid=self.pid,
-            tid=self.tid,
-            args=self.args,
-        ))
+            merged = dict(zip(keys, vals))
+            merged.update(args)
+            keys, vals = tuple(merged), tuple(merged.values())
+        tracer.emit(self.name, self.cat, self.t_start,
+                    tracer.now if t_end is None else t_end, self.pid,
+                    self.tid, self.trace_id, self.parent_id, "X", keys, vals,
+                    self.span_id)
+
+    def _row(self, t_end: float) -> tuple:
+        """This still-open span as a synthetic row closing at ``t_end``,
+        flagged ``"open": true``."""
+        args = dict(zip(self.arg_keys, self.arg_vals))
+        args["open"] = True
+        return (self.span_id, self.parent_id, self.trace_id, self.name,
+                self.cat, self.t_start, max(t_end, self.t_start), self.pid,
+                self.tid, "X", tuple(args), tuple(args.values()))
 
     # -- children ---------------------------------------------------------------
     def child(self, name: str, cat: str = "span", **args) -> "Span":
@@ -151,10 +188,14 @@ class Span:
         self.child_complete(name, now - seconds, now, cat="phase")
 
     def instant(self, name: str, **args) -> None:
-        self.tracer.instant(
-            name, pid=self.pid, tid=self.tid,
-            trace_id=self.trace_id, parent=self, **args,
-        )
+        self.emit_instant(name, tuple(args), tuple(args.values()))
+
+    def emit_instant(self, name: str, arg_keys: tuple, arg_vals: tuple) -> None:
+        """:meth:`instant` with positional args, for per-token hot sites."""
+        tracer = self.tracer
+        now = tracer.now
+        tracer.emit(name, "event", now, now, self.pid, self.tid,
+                    self.trace_id, self.span_id, "i", arg_keys, arg_vals)
 
 
 class NullSpan:
@@ -197,9 +238,17 @@ class NullSpan:
     def instant(self, name, **args) -> None:
         self.tracer.sampled_out += 1
 
+    def emit_instant(self, name, arg_keys, arg_vals) -> None:
+        self.tracer.sampled_out += 1
+
 
 class Tracer:
     """Bounded collector of spans across the whole deployment.
+
+    Recording appends one flat row per record (:meth:`emit`); the
+    :class:`SpanRecord` objects that queries hand out are built from the
+    rows on first read and kept in their place (:attr:`records`), while
+    counts and exports read rows and build no objects.
 
     ``namespace`` (optional) switches id allocation from the process-wide
     counters to tracer-local counters offset by ``namespace * 2**40``:
@@ -222,12 +271,17 @@ class Tracer:
         self._merged_now = 0.0
         if namespace is not None:
             base = namespace * _NAMESPACE_STRIDE
-            self._span_counter = itertools.count(base + 1)
+            span_counter = itertools.count(base + 1)
             self._trace_counter = itertools.count(base + 1)
         else:
-            self._span_counter = None
-            self._trace_counter = None
-        self.records: list[SpanRecord] = []
+            span_counter = _span_ids
+            self._trace_counter = _trace_ids
+        self._next_span_id = span_counter.__next__
+        #: the store, in record order: records already read back as
+        #: SpanRecords, then the rows recorded since (layout: ``_ARGS``).
+        #: Each record lives in one form only.
+        self._records: list[SpanRecord] = []
+        self._rows: list[tuple] = []
         #: records discarded because the tracer was full — never silent:
         #: surfaced in summary() and the exported JSON
         self.dropped = 0
@@ -243,10 +297,10 @@ class Tracer:
         #: optional head+tail sampling policy; None means keep everything
         #: (the pre-sampling behaviour, byte-for-byte)
         self._sampler = sampler
-        #: trace_id -> buffered records of a still-*pending* trace (head-
-        #: rejected, tail fate unknown).  Buffered records count against
+        #: trace_id -> buffered rows of a still-*pending* trace (head-
+        #: rejected, tail fate unknown).  Buffered rows count against
         #: ``max_spans`` so sampling never grows memory past the budget.
-        self._pending_buf: dict[int, list[SpanRecord]] = {}
+        self._pending_buf: dict[int, list[tuple]] = {}
         self._pending_count = 0
         #: merge-target only: (trace_id, record-tuple) pairs shipped by
         #: shard snapshots for traces homed on *other* shards, resolved
@@ -263,15 +317,8 @@ class Tracer:
             return self._merged_now
         return self.env.now
 
-    def _next_span_id(self) -> int:
-        if self._span_counter is not None:
-            return next(self._span_counter)
-        return next(_span_ids)
-
     def new_trace_id(self) -> int:
-        if self._trace_counter is not None:
-            return next(self._trace_counter)
-        return next(_trace_ids)
+        return next(self._trace_counter)
 
     # -- recording --------------------------------------------------------------
     def begin(self, name: str, cat: str = "span", pid: str = "sim",
@@ -285,18 +332,25 @@ class Tracer:
         ``_open`` bookkeeping, and every downstream record counts as
         ``sampled_out``.
         """
-        resolved_trace = (trace_id if trace_id is not None else
-                          (parent.trace_id if parent is not None else None))
+        parent_id = None
+        if parent is not None:
+            parent_id = parent.span_id
+            if trace_id is None:
+                trace_id = parent.trace_id
+        return self.start_span(name, cat, pid, tid, trace_id, parent_id,
+                               self.now if t_start is None else t_start,
+                               tuple(args), tuple(args.values()))
+
+    def start_span(self, name: str, cat: str, pid: str, tid: str,
+                   trace_id: Optional[int], parent_id: Optional[int],
+                   t_start: float, arg_keys: tuple = (),
+                   arg_vals: tuple = ()) -> Span:
+        """:meth:`begin` with positional fields and args."""
         if (self._sampler is not None
-                and self._sampler.state(resolved_trace) == _sampling.OUT):
-            return NullSpan(self, resolved_trace)
-        span = Span(
-            self, name, cat, pid, tid,
-            trace_id=resolved_trace,
-            parent_id=parent.span_id if parent is not None else None,
-            t_start=self.now if t_start is None else t_start,
-            args=args,
-        )
+                and self._sampler.state(trace_id) == _sampling.OUT):
+            return NullSpan(self, trace_id)
+        span = Span(self, name, cat, pid, tid, trace_id, parent_id, t_start,
+                    arg_keys, arg_vals)
         self._open[span.span_id] = span
         return span
 
@@ -311,77 +365,91 @@ class Tracer:
         propagated ``(trace_id, span_id)`` wire context (e.g. the API
         server) pass the raw ``parent_id`` instead.
         """
-        self._record(SpanRecord(
-            span_id=self._next_span_id(),
-            parent_id=parent.span_id if parent is not None else parent_id,
-            trace_id=trace_id if trace_id is not None else
-            (parent.trace_id if parent is not None else None),
-            name=name, cat=cat, t_start=t_start, t_end=t_end,
-            pid=pid, tid=tid, args=args,
-        ))
+        if parent is not None:
+            parent_id = parent.span_id
+            if trace_id is None:
+                trace_id = parent.trace_id
+        self.emit(name, cat, t_start, t_end, pid, tid, trace_id, parent_id,
+                  "X", tuple(args), tuple(args.values()))
 
     def instant(self, name: str, cat: str = "event", pid: str = "sim",
                 tid: str = "main", trace_id: Optional[int] = None,
                 parent: Optional[Span] = None,
                 parent_id: Optional[int] = None, **args) -> None:
         """Record a point-in-time event (retry, crash, flush, ...)."""
+        if parent is not None:
+            parent_id = parent.span_id
+            if trace_id is None:
+                trace_id = parent.trace_id
         now = self.now
-        self._record(SpanRecord(
-            span_id=self._next_span_id(),
-            parent_id=parent.span_id if parent is not None else parent_id,
-            trace_id=trace_id if trace_id is not None else
-            (parent.trace_id if parent is not None else None),
-            name=name, cat=cat, t_start=now, t_end=now,
-            pid=pid, tid=tid, ph="i", args=args,
-        ))
+        self.emit(name, cat, now, now, pid, tid, trace_id, parent_id, "i",
+                  tuple(args), tuple(args.values()))
 
-    def _record(self, record: SpanRecord) -> None:
+    def emit(self, name: str, cat: str, t_start: float, t_end: float,
+             pid: str, tid: str, trace_id: Optional[int],
+             parent_id: Optional[int], ph: str = "X", arg_keys: tuple = (),
+             arg_vals: tuple = (), span_id: Optional[int] = None) -> None:
+        """Record one span or instant: the single recording path.
+
+        ``arg_keys``/``arg_vals`` are the record's args as parallel
+        tuples.  ``span_id`` is passed only by a :class:`Span` closing
+        (its id was taken at ``begin``); otherwise a fresh id is taken
+        here — also for a record that is then dropped or sampled out, so
+        the ids of kept records never depend on what was discarded.
+        """
+        if span_id is None:
+            span_id = self._next_span_id()
         sampler = self._sampler
         if sampler is None:
-            if len(self.records) >= self.max_spans:
+            rows = self._rows
+            if len(rows) + len(self._records) >= self.max_spans:
                 self.dropped += 1
                 return
-            self.records.append(record)
+            rows.append((span_id, parent_id, trace_id, name, cat, t_start,
+                         t_end, pid, tid, ph, arg_keys, arg_vals))
             return
-        # A closing root invocation span is the sampler's tail-rule hook:
-        # non-completed status keeps the trace, and every root end advances
-        # latency-champion + retention bookkeeping (all in sim-time order,
-        # so decisions are deterministic and layout-invariant).
-        if (record.ph == "X" and record.cat == "invocation"
-                and record.trace_id is not None):
-            self._apply_resolutions(sampler.on_root_end(
-                record.trace_id, record.t_start, record.t_end,
-                str(record.args.get("status", "completed")),
-            ))
-        state = sampler.state(record.trace_id)
-        if state == _sampling.OUT:
-            self.sampled_out += 1
-            return
-        if len(self.records) + self._pending_count >= self.max_spans:
+        state = None
+        if trace_id is not None:
+            if ph == "X" and cat == "invocation":
+                # A closing root invocation span is the sampler's tail-rule
+                # hook: non-completed status keeps the trace, and every
+                # root end advances latency-champion + retention
+                # bookkeeping (all in sim-time order, so decisions are
+                # deterministic and layout-invariant).
+                status = (arg_vals[arg_keys.index("status")]
+                          if "status" in arg_keys else "completed")
+                self._apply_resolutions(sampler.on_root_end(
+                    trace_id, t_start, t_end, str(status)))
+            state = sampler.state(trace_id)
+            if state == _sampling.OUT:
+                self.sampled_out += 1
+                return
+        if self.n_records + self._pending_count >= self.max_spans:
             self.dropped += 1
             return
+        row = (span_id, parent_id, trace_id, name, cat, t_start, t_end,
+               pid, tid, ph, arg_keys, arg_vals)
         if state in (_sampling.PENDING, _sampling.FOREIGN_PENDING):
-            self._pending_buf.setdefault(record.trace_id, []).append(record)
+            self._pending_buf.setdefault(trace_id, []).append(row)
             self._pending_count += 1
             if state == _sampling.PENDING:
                 # eager tail-keep on interesting names (preemption, crash
                 # requeue, RPC retry) — promotes the whole buffered trace
-                self._apply_resolutions(
-                    sampler.note_record(record.trace_id, record.name))
+                self._apply_resolutions(sampler.note_record(trace_id, name))
             return
-        self.records.append(record)  # kept, or not subject to sampling
+        self._rows.append(row)  # kept, or not subject to sampling
 
     def _apply_resolutions(self, resolutions) -> None:
-        """Apply sampler verdicts: flush a kept trace's buffered records
-        into the store, or discard a sampled-out trace's buffer (counted,
-        never silent)."""
+        """Apply sampler verdicts: flush a kept trace's buffered rows into
+        the store, or discard a sampled-out trace's buffer (counted, never
+        silent)."""
         for trace_id, kept, _reason in resolutions:
             buf = self._pending_buf.pop(trace_id, None)
             if buf is None:
                 continue
             self._pending_count -= len(buf)
             if kept:
-                self.records.extend(buf)
+                self._rows.extend(buf)
             else:
                 self.sampled_out += len(buf)
 
@@ -436,6 +504,32 @@ class Tracer:
         return self._sampler.state(trace_id) in (None, _sampling.KEPT)
 
     # -- queries ----------------------------------------------------------------
+    @property
+    def records(self) -> list[SpanRecord]:
+        """Every stored record as a :class:`SpanRecord`, in record order.
+
+        Built from the rows on read; each row is released as its record
+        is built, and a later read only builds what was recorded since.
+        The list is the tracer's store: read it, do not mutate it.
+        """
+        built, rows = self._records, self._rows
+        if rows:
+            rows.reverse()
+            pop, add = rows.pop, built.append
+            while rows:
+                add(_row_record(pop()))
+        return built
+
+    @property
+    def n_records(self) -> int:
+        """Stored records, counted without building them."""
+        return len(self._records) + len(self._rows)
+
+    def _stored_rows(self):
+        """Every stored record in row form, in record order (records
+        already built are read back one at a time)."""
+        return itertools.chain(map(_record_row, self._records), self._rows)
+
     def spans(self, cat: Optional[str] = None) -> list[SpanRecord]:
         self.finalize_sampling()
         if cat is None:
@@ -457,14 +551,14 @@ class Tracer:
         """Spans begun but not yet ended (live invocations, in-flight RPC)."""
         return len(self._open)
 
-    def _open_records(self) -> list[SpanRecord]:
-        """Synthetic closed records for still-open spans, ending now.
+    def _open_rows(self) -> list[tuple]:
+        """Synthetic closed rows for still-open spans, ending now.
 
         Export-only views — nothing is stored, the spans stay open and
         their eventual real :meth:`Span.end` records normally.
         """
         now = self.now
-        records = []
+        rows = []
         sampler = self._sampler
         for span in sorted(self._open.values(), key=lambda s: s.span_id):
             if sampler is not None and sampler.state(span.trace_id) in (
@@ -472,28 +566,19 @@ class Tracer:
                 # out: decided against; foreign: shipped separately in the
                 # snapshot for post-merge resolution (never exported here)
                 continue
-            args = dict(span.args)
-            args["open"] = True
-            records.append(SpanRecord(
-                span_id=span.span_id,
-                parent_id=span.parent_id,
-                trace_id=span.trace_id,
-                name=span.name,
-                cat=span.cat,
-                t_start=span.t_start,
-                t_end=max(now, span.t_start),
-                pid=span.pid,
-                tid=span.tid,
-                args=args,
-            ))
-        return records
+            rows.append(span._row(now))
+        return rows
 
     def summary(self) -> dict:
         self.finalize_sampling()
+        built, rows = self._records, self._rows
+        phases = Counter(itertools.chain((r.ph for r in built),
+                                         (row[9] for row in rows)))
+        traces = {r.trace_id for r in built} | {row[2] for row in rows}
         out = {
-            "spans": sum(1 for r in self.records if r.ph == "X"),
-            "instants": sum(1 for r in self.records if r.ph == "i"),
-            "traces": len(self.by_trace()),
+            "spans": phases["X"],
+            "instants": phases["i"],
+            "traces": len(traces - {None}),
             "dropped": self.dropped,
             "sampled_out": self.sampled_out,
             "open_spans": self.open_spans,
@@ -527,37 +612,39 @@ class Tracer:
         pids: dict[str, int] = {}
         tids: dict[tuple[str, str], int] = {}
         events: list[dict] = []
-        for r in self.records + self._open_records():
-            if r.pid not in pids:
-                pids[r.pid] = len(pids) + 1
+        for (span_id, parent_id, trace_id, name, cat, t_start, t_end, pid,
+             tid, ph, keys, vals) in itertools.chain(self._stored_rows(),
+                                                     self._open_rows()):
+            if pid not in pids:
+                pids[pid] = len(pids) + 1
                 events.append({
-                    "ph": "M", "name": "process_name", "pid": pids[r.pid],
-                    "tid": 0, "args": {"name": r.pid},
+                    "ph": "M", "name": "process_name", "pid": pids[pid],
+                    "tid": 0, "args": {"name": pid},
                 })
-            track = (r.pid, r.tid)
+            track = (pid, tid)
             if track not in tids:
                 tids[track] = len(tids) + 1
                 events.append({
-                    "ph": "M", "name": "thread_name", "pid": pids[r.pid],
-                    "tid": tids[track], "args": {"name": r.tid},
+                    "ph": "M", "name": "thread_name", "pid": pids[pid],
+                    "tid": tids[track], "args": {"name": tid},
                 })
-            args = dict(r.args)
-            if r.trace_id is not None:
-                args["trace_id"] = r.trace_id
-            args["span_id"] = r.span_id
-            if r.parent_id is not None:
-                args["parent_id"] = r.parent_id
+            args = dict(zip(keys, vals))
+            if trace_id is not None:
+                args["trace_id"] = trace_id
+            args["span_id"] = span_id
+            if parent_id is not None:
+                args["parent_id"] = parent_id
             event = {
-                "name": r.name,
-                "cat": r.cat,
-                "ph": r.ph,
-                "ts": r.t_start * 1e6,
-                "pid": pids[r.pid],
+                "name": name,
+                "cat": cat,
+                "ph": ph,
+                "ts": t_start * 1e6,
+                "pid": pids[pid],
                 "tid": tids[track],
                 "args": args,
             }
-            if r.ph == "X":
-                event["dur"] = (r.t_end - r.t_start) * 1e6
+            if ph == "X":
+                event["dur"] = (t_end - t_start) * 1e6
             else:
                 event["s"] = "t"
             events.append(event)
@@ -582,7 +669,8 @@ class Tracer:
         synthetic closes for still-open spans — exactly what a shard
         snapshot ships, so plain-run and merged digests are comparable."""
         self.finalize_sampling()
-        return trace_digest(self.records + self._open_records())
+        return _digest_rows(itertools.chain(self._stored_rows(),
+                                            self._open_rows()))
 
     # -- cross-process collection ------------------------------------------------
     def snapshot(self) -> dict:
@@ -596,12 +684,8 @@ class Tracer:
         silently omits in-flight work.
         """
         self.finalize_sampling()
-
-        def entry(r: SpanRecord) -> tuple:
-            return (r.span_id, r.parent_id, r.trace_id, r.name, r.cat,
-                    r.t_start, r.t_end, r.pid, r.tid, r.ph, dict(r.args))
-
-        records = [entry(r) for r in self.records + self._open_records()]
+        records = [_row_entry(row) for row in itertools.chain(
+            self._stored_rows(), self._open_rows())]
         snap = {
             "version": _SNAPSHOT_VERSION,
             "namespace": self.namespace,
@@ -616,20 +700,13 @@ class Tracer:
             # pairs for the coordinator to resolve against the merged
             # kept set.  Optional keys — absent for unsampled tracers, so
             # the snapshot wire format is unchanged at rate 1.0.
-            foreign = [(tid, entry(r))
+            foreign = [(tid, _row_entry(row))
                        for tid, buf in self._pending_buf.items()
-                       for r in buf]
+                       for row in buf]
             now = self.now
             for span in sorted(self._open.values(), key=lambda s: s.span_id):
                 if self._sampler.state(span.trace_id) == _sampling.FOREIGN_PENDING:
-                    args = dict(span.args)
-                    args["open"] = True
-                    foreign.append((span.trace_id, (
-                        span.span_id, span.parent_id, span.trace_id,
-                        span.name, span.cat, span.t_start,
-                        max(now, span.t_start), span.pid, span.tid,
-                        "X", args,
-                    )))
+                    foreign.append((span.trace_id, _row_entry(span._row(now))))
             snap["sampled_out"] = self.sampled_out
             snap["foreign"] = foreign
             snap["sampling"] = self._sampler.summary()
@@ -661,17 +738,12 @@ class Tracer:
         if snapshot.get("sampling") is not None:
             self._merged_sampling.append(snapshot["sampling"])
         for entry in snapshot["records"]:
-            (span_id, parent_id, trace_id, name, cat,
-             t_start, t_end, pid, tid, ph, args) = entry
             if track_prefix:
-                pid = f"{track_prefix}{pid}"
-            record = SpanRecord(
-                span_id=span_id, parent_id=parent_id, trace_id=trace_id,
-                name=name, cat=cat, t_start=t_start, t_end=t_end,
-                pid=pid, tid=tid, ph=ph, args=dict(args),
-            )
-            self._record(record)
+                entry = list(entry)
+                entry[7] = f"{track_prefix}{entry[7]}"
+            self._emit_entry(entry)
             added += 1
+            t_end = entry[6]
             if t_end > self._merged_now:
                 self._merged_now = t_end
         for foreign_trace, entry in snapshot.get("foreign", ()):
@@ -696,24 +768,26 @@ class Tracer:
         """
         if not self._foreign_stash:
             return 0
-        kept = {r.trace_id for r in self.records if r.trace_id is not None}
+        kept = {row[2] for row in self._stored_rows()} - {None}
         added = 0
         for trace_id, entry in self._foreign_stash:
             if trace_id in kept:
-                (span_id, parent_id, tid_, name, cat,
-                 t_start, t_end, pid, tid, ph, args) = entry
-                self._record(SpanRecord(
-                    span_id=span_id, parent_id=parent_id, trace_id=tid_,
-                    name=name, cat=cat, t_start=t_start, t_end=t_end,
-                    pid=pid, tid=tid, ph=ph, args=dict(args),
-                ))
+                self._emit_entry(entry)
                 added += 1
+                t_end = entry[6]
                 if t_end > self._merged_now:
                     self._merged_now = t_end
             else:
                 self.sampled_out += 1
         self._foreign_stash.clear()
         return added
+
+    def _emit_entry(self, entry) -> None:
+        """Record one snapshot-form entry under its original span id."""
+        (span_id, parent_id, trace_id, name, cat,
+         t_start, t_end, pid, tid, ph, args) = entry
+        self.emit(name, cat, t_start, t_end, pid, tid, trace_id, parent_id,
+                  ph, tuple(args), tuple(args.values()), span_id)
 
 
 def group_by_trace(records) -> dict[int, list[SpanRecord]]:
@@ -736,25 +810,35 @@ def trace_digest(records) -> int:
     bar that makes a 1-shard sharded run comparable to a plain run.  A
     parent id pointing outside the record set canonicalizes to ``-1``.
     """
-    def sort_key(r: SpanRecord):
-        return (r.t_start, r.t_end, r.pid, r.tid, r.cat, r.name, r.ph,
-                json.dumps(r.args, sort_keys=True, default=str))
+    return _digest_rows([_record_row(r) for r in records])
 
-    ordered = sorted(records, key=sort_key)
-    span_index = {r.span_id: i for i, r in enumerate(ordered)}
+
+def _digest_rows(rows) -> int:
+    """:func:`trace_digest` over stored rows."""
+    keyed = []
+    for row in rows:
+        args = dict(zip(row[_ARGS], row[_ARGS + 1]))
+        # (start, end, pid, tid, cat, name, ph, canonical args)
+        keyed.append(((row[5], row[6], row[7], row[8], row[4], row[3],
+                       row[9], json.dumps(args, sort_keys=True, default=str)),
+                      row, args))
+    keyed.sort(key=lambda k: k[0])
+    span_index = {row[0]: i for i, (_, row, _) in enumerate(keyed)}
     trace_index: dict[int, int] = {}
     crc = 0
-    for i, r in enumerate(ordered):
-        if r.trace_id is None:
+    for i, (_, row, args) in enumerate(keyed):
+        (span_id, parent_id, trace_id, name, cat, t_start, t_end, pid, tid,
+         ph) = row[:_ARGS]
+        if trace_id is None:
             trace = None
         else:
-            trace = trace_index.setdefault(r.trace_id, len(trace_index))
-        parent = (None if r.parent_id is None
-                  else span_index.get(r.parent_id, -1))
-        row = json.dumps(
-            [i, parent, trace, r.name, r.cat, r.t_start, r.t_end,
-             r.pid, r.tid, r.ph, r.args],
+            trace = trace_index.setdefault(trace_id, len(trace_index))
+        parent = (None if parent_id is None
+                  else span_index.get(parent_id, -1))
+        line = json.dumps(
+            [i, parent, trace, name, cat, t_start, t_end,
+             pid, tid, ph, args],
             sort_keys=True, separators=(",", ":"), default=str,
         )
-        crc = zlib.crc32(row.encode(), crc)
+        crc = zlib.crc32(line.encode(), crc)
     return crc

@@ -343,7 +343,7 @@ class ShardSim:
                     f"run_sharded(tracing=True) ships them to the coordinator"
                 )
         if self.ctx._foreign_tracers:
-            n_spans = sum(len(t.records) for t in self.ctx._foreign_tracers)
+            n_spans = sum(t.n_records for t in self.ctx._foreign_tracers)
             out.setdefault("diagnostics", []).append(
                 f"shard {spec.shard_id}: {len(self.ctx._foreign_tracers)} "
                 f"tracer(s) with {n_spans} span(s) stayed behind in the "

@@ -87,6 +87,18 @@ class PhysicalAllocation:
             self.demand_zero = False
         self.data[offset : offset + n] = buf[:n]
 
+    def fill(self, offset: int, length: int, byte: int) -> None:
+        """Set up to ``length`` real bytes at ``offset`` to ``byte``
+        (clipped to the payload window): the bytes of a memset.  A zero
+        fill of unmaterialised memory stores and allocates nothing."""
+        self._check_live()
+        n = min(length, self._window - offset)
+        if n <= 0 or (byte == 0 and self._data is None):
+            return
+        if byte:
+            self.demand_zero = False
+        self.data[offset : offset + n] = byte
+
     def read(self, offset: int, length: int) -> np.ndarray:
         """Read up to ``length`` real bytes starting at ``offset``."""
         self._check_live()

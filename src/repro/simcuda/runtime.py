@@ -228,8 +228,7 @@ class LocalCudaRuntime(CudaRuntimeAPI):
 
         def start():
             mapping, offset = ctx.address_space.translate(dev_ptr)
-            window = mapping.allocation.read(offset, size)
-            mapping.allocation.write(offset, np.full(len(window), value & 0xFF, np.uint8))
+            mapping.allocation.fill(offset, size, value & 0xFF)
             return ctx.device.memset(size)
 
         done = ctx.default_stream.enqueue(start, name="memset")

@@ -16,6 +16,9 @@ __all__ = ["Network", "Host", "Connection", "Endpoint"]
 
 #: payload type -> interned "xfer:<Type>" span name
 _XFER_NAMES: dict[type, str] = {}
+#: arg names of an ``xfer:`` span, without and with the loss flag
+_XFER_KEYS = ("bytes", "src", "dst")
+_XFER_LOST_KEYS = _XFER_KEYS + ("dropped",)
 
 
 def _xfer_name(kind: type) -> str:
@@ -131,12 +134,16 @@ class Endpoint:
         if tracer is not None:
             trace_id, parent_id = connection.trace_ctx or (None, None)
             kind = type(payload)
-            tracer.complete(
-                _XFER_NAMES.get(kind) or _xfer_name(kind), now, deliver_at,
-                cat="net", pid="net", tid=connection.label or self._tid,
-                trace_id=trace_id, parent_id=parent_id,
-                bytes=size, src=self.local.name, dst=self.remote.name,
-                **({"dropped": True} if lost else {}),
+            if lost:
+                keys = _XFER_LOST_KEYS
+                vals = (size, self.local.name, self.remote.name, True)
+            else:
+                keys = _XFER_KEYS
+                vals = (size, self.local.name, self.remote.name)
+            tracer.emit(
+                _XFER_NAMES.get(kind) or _xfer_name(kind), "net", now,
+                deliver_at, "net", connection.label or self._tid, trace_id,
+                parent_id, "X", keys, vals,
             )
         if lost:
             # Transmitted (wire time charged above) but lost in flight.

@@ -313,3 +313,65 @@ def test_auditor_reports_a_nonzero_byte_behind_the_flag():
     assert [v.kind for v in report.violations] == ["demand-zero"]
     alloc.data[0] = 0
     world.detach_guest(guest, server, rpc)
+
+
+# --- memset and checkpoint restore never read demand-zero memory --------------------
+
+@pytest.fixture
+def count_reads(monkeypatch):
+    """Count PhysicalAllocation.read calls."""
+    calls = []
+    read = PhysicalAllocation.read
+
+    def counting(self, offset, length):
+        calls.append((offset, length))
+        return read(self, offset, length)
+
+    monkeypatch.setattr(PhysicalAllocation, "read", counting)
+    return calls
+
+
+def _local_runtime_alloc(size):
+    from repro.simcuda import LocalCudaRuntime
+    env = Environment()
+    rt = LocalCudaRuntime(env, [SimGPU(env, 0)])
+
+    def drive(gen):
+        return env.run(until=env.process(gen))
+
+    ptr = drive(rt.cudaMalloc(size))
+    return drive, rt, ptr, rt.context.address_space.translate(ptr)[0].allocation
+
+
+def test_memset_fills_without_reading_on_both_runtimes(count_reads):
+    world, attached, (ptr,), (alloc,) = _world_allocs(1, size=2 * MB)
+    guest = attached[0]
+    drive, rt, local_ptr, local_alloc = _local_runtime_alloc(2 * MB)
+    remote_memset = lambda p, v, n: world.drive(guest.cudaMemset(p, v, n))
+    local_memset = lambda p, v, n: drive(rt.cudaMemset(p, v, n))
+    for memset, base, target in ((remote_memset, ptr, alloc),
+                                 (local_memset, local_ptr, local_alloc)):
+        window = target.payload_bytes
+        assert window == 1 * MB  # capped below the 2 MB declared size
+        memset(base, 0, 2 * MB)
+        assert not target.materialized and target.demand_zero
+        # a nonzero fill straddling the window's end stores only the
+        # bytes inside it
+        memset(base + window - 8, 7, 64)
+        assert target.materialized and not target.demand_zero
+        assert (target.data[window - 8:] == 7).all()
+        assert not target.data[:window - 8].any()
+    assert count_reads == []
+    world.detach_guest(*attached)
+
+
+def test_checkpoint_restore_skips_the_snapshot_of_unmaterialised_memory(count_reads):
+    world = make_world(DgsfConfig(num_gpus=2))
+    guest, server, rpc = world.attach_guest(declared_bytes=1 * GB)
+    world.drive(guest.cudaMalloc(1 * MB))
+    world.env.run(until=world.env.process(checkpoint_restore_migration(server, 1)))
+    assert count_reads == []
+    (va,) = server.session.allocations
+    migrated = server.context.address_space.translate(va)[0].allocation
+    assert migrated.device_id == 1 and not migrated.materialized
+    world.detach_guest(guest, server, rpc)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, percentile
+from repro.obs.metrics import _EXEMPLAR_EDGES, _exemplar_bucket
 
 
 # --- instruments -------------------------------------------------------------
@@ -260,3 +261,21 @@ def test_histogram_merge_of_already_truncated_shards():
     assert hist.total == sum(range(2 * n))
     assert len(hist.observations) < _HISTOGRAM_CAP
     assert hist.percentile(95) == pytest.approx(1.9 * n, rel=0.05)
+
+
+def _exemplar_bucket_by_scan(value):
+    """Reference: the first edge the value does not exceed."""
+    for edge in _EXEMPLAR_EDGES:
+        if value <= edge:
+            return edge
+    return float("inf")
+
+
+def test_exemplar_bucket_matches_the_linear_scan():
+    mids = [(a + b) / 2 for a, b in zip(_EXEMPLAR_EDGES, _EXEMPLAR_EDGES[1:])]
+    values = [*_EXEMPLAR_EDGES, *mids, 0.0, 1e-9, -3.0, float("-inf"),
+              _EXEMPLAR_EDGES[-1] * 1.001, 1e12, float("inf")]
+    for value in values:
+        assert _exemplar_bucket(value) == _exemplar_bucket_by_scan(value), value
+    # NaN is <= no edge, so it lands beyond the last one
+    assert _exemplar_bucket(float("nan")) == float("inf")

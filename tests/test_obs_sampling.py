@@ -17,6 +17,7 @@ from repro.obs.sampling import (
 )
 from repro.obs.slo import GpuImbalanceRule, LatencyRule, SloEngine, \
     evaluate_cluster_slo
+from repro.obs import trace as tracer_module
 from repro.obs.trace import NullSpan, Tracer, trace_digest
 from repro.sim.core import Environment
 from repro.sim.shard import run_sharded
@@ -177,6 +178,37 @@ def test_nullspan_rejects_children_of_out_traces_cheaply():
     span.end()  # double-end guards
     assert tracer.sampled_out > before
     assert all(r.trace_id != out_tid for r in tracer.records)
+
+
+def test_records_of_an_out_trace_are_counted_not_stored(monkeypatch):
+    env = Environment()
+    tracer = Tracer(env, namespace=3, sampler=TraceSampler(0.0))
+    tids = []
+    for key, e2e in (("a", 5.0), ("b", 1.0)):
+        root = tracer.begin("invocation:wl", cat="invocation",
+                            trace_id=tracer.new_trace_id())
+        tracer.sample_root(root.trace_id, key=key, scope="g0", workload="wl")
+        root.end(t_end=e2e, status="completed")
+        tids.append(root.trace_id)
+    tracer.finalize_sampling()
+    out_tid = next(t for t in tids if tracer._sampler.state(t) == OUT)
+    built = []
+    monkeypatch.setattr(tracer_module, "SpanRecord",
+                        lambda *a, **kw: built.append(a))
+    stored, before = tracer.n_records, tracer.sampled_out
+    marker = tracer._next_span_id()
+    tracer.complete("rpc:late", 0.0, 1.0, cat="rpc", trace_id=out_tid)
+    tracer.instant("note", trace_id=out_tid, parent_id=marker)
+    tracer.emit("xfer:late", "net", 1.0, 2.0, "net", "a->b", out_tid, None)
+    assert tracer.sampled_out == before + 3
+    assert tracer.n_records == stored and built == []
+    # each rejected record still took its span id: kept ids do not shift
+    assert tracer._next_span_id() == marker + 4
+
+
+def test_pool_fixture_sampled_out_count_is_pinned():
+    # when the sampler decides must not change what it discards
+    assert _run_pool(2, "inline").tracer.sampled_out == 387
 
 
 def test_sampled_out_and_dropped_are_separate_counters():

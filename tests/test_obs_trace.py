@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import Tracer
+from repro.obs import Tracer, trace_digest
 from repro.sim import Environment
 
 
@@ -113,6 +113,25 @@ def test_queries_by_cat_name_and_trace():
     assert {len(grouped[t1]), len(grouped[t2])} == {2}
     s = tracer.summary()
     assert s["spans"] == 3 and s["instants"] == 1 and s["traces"] == 2
+
+
+def test_reads_between_recordings_keep_record_order():
+    tracer = make_tracer()
+    tracer.complete("a", 0, 1, trace_id=1, k=1)
+    first = tracer.records
+    assert [r.name for r in first] == ["a"]
+    tracer.instant("b", trace_id=1)
+    tracer.complete("c", 0, 2, trace_id=2)
+    assert tracer.records is first
+    assert [r.name for r in first] == ["a", "b", "c"]
+    assert first[0].args == {"k": 1}
+    tracer.complete("d", 1, 3)  # recorded after the read, not yet built
+    assert tracer.n_records == 4
+    names = [e["name"] for e in tracer.to_chrome()["traceEvents"]
+             if e["ph"] != "M"]
+    assert names == ["a", "b", "c", "d"]
+    assert tracer.digest() == trace_digest(tracer.records)
+    assert tracer.summary()["traces"] == 2
 
 
 # --- Chrome export -----------------------------------------------------------
